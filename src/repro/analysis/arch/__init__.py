@@ -18,9 +18,8 @@ Rule families:
   (AR020), undeclared additions are drift (AR021);
 * ``AR030``/``AR031`` — dead code: exports nothing imports, private
   helpers referenced nowhere, whole modules nothing reaches;
-* ``AR040``–``AR042`` — hot-path purity inside the bench-proven hot
-  modules: sparse densification, scalar per-element loops, and
-  loop-invariant allocations.
+* ``AR041``/``AR042`` — hot-path purity inside the bench-proven hot
+  modules: scalar per-element loops and loop-invariant allocations.
 
 Importing this package registers every rule; :func:`audit_tree` is
 the library entry point, :mod:`repro.analysis.arch.cli` the gate.

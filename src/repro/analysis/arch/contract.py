@@ -55,7 +55,7 @@ class LayerContract:
         are a ratchet, not an allowance.
     hot_paths:
         Dotted module prefixes the benches prove are hot; the purity
-        rules (AR040–AR042) apply inside them only.
+        rules (AR041/AR042) apply inside them only.
     """
 
     layers: Dict[str, FrozenSet[str]] = field(default_factory=dict)
@@ -165,10 +165,8 @@ def default_contract() -> LayerContract:
     })
     hot_paths = (
         # The modules the tracked BENCH_*.json scenarios prove hot:
-        # the sparse dual-simplex core (fleet_10x/fleet_100x), the DES
-        # engine hot loop (des_million), and the per-tick streaming
-        # plane (streaming_ingest).
-        "repro.solvers.sparse",
+        # the DES engine hot loop (des_million) and the per-tick
+        # streaming plane (streaming_ingest).
         "repro.des.engine",
         "repro.stream",
     )

@@ -1,14 +1,11 @@
-"""Hot-path purity rules: AR040 densification, AR041 scalar loops,
-AR042 hoistable allocation.
+"""Hot-path purity rules: AR041 scalar loops, AR042 hoistable
+allocation.
 
 These apply only inside the modules the tracked bench baselines prove
-hot (``contract.hot_paths``: the sparse solver core, the DES engine,
-the streaming plane).  Elsewhere the same patterns are fine — the
-rules guard the profit-aware dispatch loop's asymptotics, not style.
+hot (``contract.hot_paths``: the DES engine, the streaming plane).
+Elsewhere the same patterns are fine — the rules guard the
+profit-aware dispatch loop's asymptotics, not style.
 
-* AR040 — a sparse matrix densified (``.toarray()``/``.todense()``,
-  or ``np.asarray`` over a sparse-named value): turns O(nnz) work
-  into O(n*m) and silently re-allocates the whole operand.
 * AR041 — a ``for i in range(...)`` loop whose body assigns through
   ``x[i]``: the per-server scalar loop the vectorized solvers exist
   to avoid.
@@ -32,13 +29,11 @@ from repro.analysis.arch.registry import (
 
 __all__ = ["HotPathPurityRule"]
 
-_DENSIFIERS = {"toarray", "todense", "asmatrix"}
 _NUMPY_ALIASES = {"np", "numpy"}
 _ALLOCATORS = {
     "empty", "zeros", "ones", "full", "arange", "eye", "identity",
     "empty_like", "zeros_like", "ones_like", "full_like",
 }
-_SPARSE_HINTS = ("csr", "csc", "coo", "sparse")
 
 _LoopNode = Union[ast.For, ast.While]
 
@@ -51,15 +46,6 @@ def _is_numpy_call(node: ast.Call, attrs: Set[str]) -> bool:
         and isinstance(func.value, ast.Name)
         and func.value.id in _NUMPY_ALIASES
     )
-
-
-def _mentions_sparse(node: ast.expr) -> bool:
-    try:
-        text = ast.unparse(node)
-    except Exception:  # pragma: no cover - unparse is total on parses
-        return False
-    lowered = text.lower()
-    return any(hint in lowered for hint in _SPARSE_HINTS)
 
 
 def _loop_targets(loop: _LoopNode) -> Set[str]:
@@ -165,36 +151,6 @@ class _PurityVisitor(ast.NodeVisitor):
 
     # -- calls ----------------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr in _DENSIFIERS:
-            self.findings.append(ArchFinding(
-                code="AR040",
-                severity="warning",
-                component=f"dense[{self.info.name}:{node.lineno}]",
-                message=(
-                    f".{func.attr}() densifies a sparse operand in a "
-                    "bench-hot module (O(nnz) becomes O(n*m)); stay "
-                    "sparse or suppress with justification"
-                ),
-                data={"call": func.attr},
-                path=self.info.path,
-                line=node.lineno,
-            ))
-        elif _is_numpy_call(node, {"asarray", "array"}) and node.args:
-            if any(_mentions_sparse(arg) for arg in node.args):
-                self.findings.append(ArchFinding(
-                    code="AR040",
-                    severity="warning",
-                    component=f"dense[{self.info.name}:{node.lineno}]",
-                    message=(
-                        "np.asarray/np.array over a sparse-named "
-                        "value densifies it in a bench-hot module; "
-                        "stay sparse or suppress with justification"
-                    ),
-                    data={"call": "asarray"},
-                    path=self.info.path,
-                    line=node.lineno,
-                ))
         if self._loops and _is_numpy_call(node, _ALLOCATORS):
             rebound: Set[str] = set()
             for loop_rebound in self._loops:
@@ -224,22 +180,20 @@ class _PurityVisitor(ast.NodeVisitor):
 
 @register_arch
 class HotPathPurityRule(ArchRule):
-    code = "AR040"
+    code = "AR041"
     name = "hot-path-purity"
     codes = {
-        "AR040": "sparse operand densified in a bench-hot module",
         "AR041": "scalar per-element for-range loop in a bench-hot module",
         "AR042": "loop-invariant numpy allocation inside a hot loop",
     }
     rationale = (
-        "The bench suite pins the sparse solver core, the DES engine, "
-        "and the streaming plane as the modules where asymptotics "
-        "decide wall-clock.  Densifying a sparse matrix, iterating "
-        "servers one Python index at a time, or re-allocating an "
-        "invariant array every iteration are the three regressions "
-        "that repeatedly sneak past review because they are locally "
-        "idiomatic; inside the declared hot paths they fail the gate "
-        "instead."
+        "The bench suite pins the DES engine and the streaming plane "
+        "as the modules where asymptotics decide wall-clock.  "
+        "Iterating servers one Python index at a time, or "
+        "re-allocating an invariant array every iteration, are the "
+        "regressions that repeatedly sneak past review because they "
+        "are locally idiomatic; inside the declared hot paths they "
+        "fail the gate instead."
     )
 
     def check(self, ctx: ArchContext) -> Iterator[ArchFinding]:

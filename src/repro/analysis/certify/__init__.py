@@ -9,8 +9,8 @@ Third member of the analysis triad, with its own ``CT0xx`` code space:
 * this package (``repro certify``, ``CT0xx``) independently verifies
   the *solved answer*: primal feasibility, dual feasibility and
   reduced-cost signs, complementary slackness and the duality gap,
-  MILP incumbent integrality and bound sandwiches, and the sparse
-  path's decomposition/collapse invariants — all recomputed from the
+  MILP incumbent integrality and bound sandwiches, and the decoded
+  plan's profit against the objective — all recomputed from the
   problem data, trusting no solver-reported residual.
 
 Three entry points, mirroring the auditor:
@@ -28,10 +28,10 @@ keeping ``repro lint`` numpy-free.
 
 from repro.analysis.certify.certify import CertifyReport, certify_solution
 from repro.analysis.certify.checks import (
-    DecompositionCertificateRule,
     DualCertificateRule,
     GapCertificateRule,
     IntegralityCertificateRule,
+    PlanProfitCertificateRule,
     PrimalCertificateRule,
 )
 from repro.analysis.certify.findings import (
@@ -55,10 +55,10 @@ __all__ = [
     "CertifyReport",
     "CertifyRule",
     "CertifyThresholds",
-    "DecompositionCertificateRule",
     "DualCertificateRule",
     "GapCertificateRule",
     "IntegralityCertificateRule",
+    "PlanProfitCertificateRule",
     "PrimalCertificateRule",
     "SEVERITIES",
     "all_certify_rules",

@@ -85,7 +85,6 @@ def certify_solution(
     solution: Solution,
     inputs: Optional[SlotInputs] = None,
     plan: Optional[DispatchPlan] = None,
-    coupling_rows: Optional[np.ndarray] = None,
     thresholds: Optional[CertifyThresholds] = None,
 ) -> CertifyReport:
     """Independently verify one solve; report, never raise.
@@ -97,8 +96,8 @@ def certify_solution(
         integrality (enables the CT040/CT041 incumbent checks).
     solution:
         The solver's answer.  Must carry ``x``; dual-side checks run
-        only when the backend attached marginals (HiGHS LP, the sparse
-        dual simplex) and are recorded as skipped otherwise.
+        only when the backend attached marginals (HiGHS LP) and are
+        recorded as skipped otherwise.
     inputs:
         The slot problem behind the LP; enables the CT051 profit
         identity (with ``plan``) and the big-M-aware CT041 gap scale.
@@ -107,9 +106,6 @@ def certify_solution(
         ``solution.x`` — pass the plan decoded *before* any
         consolidation/spare-capacity postprocessing, which deliberately
         reshapes profit-neutral structure.
-    coupling_rows:
-        Indices of ``a_ub`` rows shared across decomposed blocks;
-        enables the CT050 coupling re-check.
     thresholds:
         Tolerance knobs; defaults to :class:`CertifyThresholds`.
     """
@@ -135,7 +131,6 @@ def certify_solution(
         integer_mask=integer_mask,
         inputs=inputs,
         plan=plan,
-        coupling_rows=coupling_rows,
         thresholds=(
             thresholds if thresholds is not None else CertifyThresholds()
         ),
@@ -169,9 +164,7 @@ def _family_coverage(name: str, ctx: CertifyContext) -> "tuple[bool, str]":
     elif name == "milp-incumbent":
         if ctx.integer_mask is None or not bool(np.any(ctx.integer_mask)):
             return False, "not a MILP solve"
-    elif name == "decomposition-invariants":
-        if ctx.coupling_rows is None and (
-            ctx.plan is None or ctx.inputs is None
-        ):
-            return False, "no coupling rows or decoded plan supplied"
+    elif name == "plan-profit":
+        if ctx.plan is None or ctx.inputs is None:
+            return False, "no decoded plan supplied"
     return True, ""

@@ -8,8 +8,8 @@ code space:
 * ``CT020``/``CT021`` — dual feasibility, reduced-cost signs;
 * ``CT030``/``CT031`` — complementary slackness, relative duality gap;
 * ``CT040``/``CT041`` — incumbent integrality, bound-sandwich width;
-* ``CT050``/``CT051`` — coupling-row satisfaction after a decomposed
-  block accept, and the collapse→expand profit identity.
+* ``CT051`` — the decoded plan's recomputed profit against the
+  objective.
 
 Dual-side families skip silently when the backend attached no marginals
 (the own simplex, IPM, B&B, and presolve-restored solutions are
@@ -36,7 +36,7 @@ __all__ = [
     "DualCertificateRule",
     "GapCertificateRule",
     "IntegralityCertificateRule",
-    "DecompositionCertificateRule",
+    "PlanProfitCertificateRule",
 ]
 
 
@@ -351,39 +351,21 @@ class IntegralityCertificateRule(CertifyRule):
 
 
 @register_certify
-class DecompositionCertificateRule(CertifyRule):
-    code = "CT050"
+class PlanProfitCertificateRule(CertifyRule):
+    code = "CT051"
     codes = {
-        "CT050": "coupling row violated after decomposed block accept",
         "CT051": "decoded plan's profit disagrees with the objective",
     }
-    name = "decomposition-invariants"
+    name = "plan-profit"
     rationale = (
-        "The sparse path solves per-class blocks and accepts the "
-        "concatenation only if the shared capacity rows still hold; the "
-        "symmetric collapse is only valid if expanding the aggregated "
-        "solution back to per-server rates reproduces the objective as "
-        "net profit.  Both invariants are recomputed here end to end."
+        "The decoder expands the LP solution (aggregated shares or "
+        "per-server variables) into a dispatch plan; the objective is "
+        "only the realized profit if scoring that plan end to end "
+        "reproduces it as net profit."
     )
 
     def check(self, ctx: CertifyContext) -> Iterator[CertFinding]:
-        lp = ctx.lp
         th = ctx.thresholds
-        if ctx.coupling_rows is not None and lp.a_ub is not None:
-            rows = ctx.coupling_rows
-            slack = ctx.slack_ub()[rows]
-            lim = th.feas_tol * np.maximum(1.0, np.abs(lp.b_ub[rows]))
-            over = -slack - lim
-            if np.any(over > 0.0):
-                w = int(np.argmax(over))
-                yield self.finding(
-                    "CT050", "error", f"decomp.coupling[{int(rows[w])}]",
-                    f"coupling row exceeded by {-slack[w]:.3e} after "
-                    f"block accept (tolerance {lim[w]:.3e}; "
-                    f"{int(np.sum(over > 0.0))} row(s) total)",
-                    violation=float(-slack[w]), tolerance=float(lim[w]),
-                    count=float(np.sum(over > 0.0)),
-                )
         if ctx.plan is None or ctx.inputs is None:
             return
         if ctx.solution.objective is None:
@@ -400,7 +382,7 @@ class DecompositionCertificateRule(CertifyRule):
             )
         except ValueError as exc:
             yield self.finding(
-                "CT051", "error", "decomp.profit",
+                "CT051", "error", "plan.profit",
                 f"decoded plan is not scoreable: {exc}",
             )
             return
@@ -409,7 +391,7 @@ class DecompositionCertificateRule(CertifyRule):
         lim = th.profit_rel * max(1.0, abs(recomputed), abs(claimed))
         if recomputed < claimed - lim:
             yield self.finding(
-                "CT051", "error", "decomp.profit",
+                "CT051", "error", "plan.profit",
                 f"recomputed net profit {recomputed:.6e} falls short of "
                 f"the objective {claimed:.6e} "
                 f"(shortfall {claimed - recomputed:.3e} > {lim:.3e})",
@@ -421,7 +403,7 @@ class DecompositionCertificateRule(CertifyRule):
             # a plan with slack on a delay row can legitimately beat the
             # level the objective targeted — report, don't gate.
             yield self.finding(
-                "CT051", "info", "decomp.profit",
+                "CT051", "info", "plan.profit",
                 f"recomputed net profit {recomputed:.6e} beats the "
                 f"objective {claimed:.6e} (realized delays land in a "
                 f"better utility band)",

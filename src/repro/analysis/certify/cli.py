@@ -58,10 +58,6 @@ def add_certify_arguments(parser: argparse.ArgumentParser) -> None:
         default="highs", help="LP backend (default: highs)",
     )
     parser.add_argument(
-        "--sparse", action="store_true",
-        help="route slot LPs through the sparse/decomposed path",
-    )
-    parser.add_argument(
         "--format", choices=["text", "json"], default="text",
         help="report format (default: text)",
     )
@@ -101,7 +97,6 @@ def _scenario_experiment(scenario: str) -> object:
 
 def _certify_slots(
     scenario: str, slots: List[int], method: str, lp_method: str,
-    sparse: bool,
 ) -> "tuple[List[CertFinding], Dict]":
     """Solve slots 0..max(slots) and collect certificates for ``slots``.
 
@@ -118,7 +113,6 @@ def _certify_slots(
     config = OptimizerConfig(
         level_method=method,
         lp_method=lp_method,
-        sparse=sparse,
         certify="warn",
         collector=collector,
     )
@@ -179,7 +173,7 @@ def run_certify(args: argparse.Namespace) -> int:
         slots = [args.slot]
 
     findings, details = _certify_slots(
-        args.scenario, slots, args.method, args.lp_method, args.sparse
+        args.scenario, slots, args.method, args.lp_method
     )
     errors = [f for f in findings if f.severity == "error"]
     warnings = [f for f in findings if f.severity == "warning"]

@@ -6,7 +6,7 @@ auditor's :class:`~repro.analysis.model.findings.ModelFinding`: one
 finding from an *independent recomputation* over a solved slot problem
 rather than over source code or an unsolved formulation.  Certificate
 findings anchor to solution components (a violated bound, a constraint
-row, a dual sign, a coupling row), so they carry a ``component`` string
+row, a dual sign, the plan profit), so they carry a ``component`` string
 and a ``severity``; the machinery (frozen dataclass, stable ``CT0xx``
 code space disjoint from ``RP0xx``/``MD0xx``/``AR0xx``, sorted
 text/JSON reports) is the shared :mod:`repro.analysis.report`

@@ -55,7 +55,7 @@ class CertifyThresholds:
     ----------
     feas_tol:
         Relative primal-feasibility tolerance (bounds and rows,
-        CT010/CT011/CT050).
+        CT010/CT011).
     dual_tol:
         Relative dual-feasibility and reduced-cost-sign tolerance
         (CT020/CT021), scaled by ``max(1, |c|_inf)``.
@@ -104,8 +104,6 @@ class CertifyContext:
     inputs: Optional[SlotInputs] = None
     #: Decoded plan for the solution (enables CT051).
     plan: Optional[DispatchPlan] = None
-    #: Indices of ``a_ub`` rows coupling decomposed blocks (CT050).
-    coupling_rows: Optional[np.ndarray] = None
     thresholds: CertifyThresholds = field(default_factory=CertifyThresholds)
 
     _x: Optional[np.ndarray] = field(default=None, repr=False)
@@ -117,10 +115,6 @@ class CertifyContext:
         if self.integer_mask is not None:
             self.integer_mask = np.asarray(
                 self.integer_mask, dtype=bool
-            ).ravel()
-        if self.coupling_rows is not None:
-            self.coupling_rows = np.asarray(
-                self.coupling_rows, dtype=int
             ).ravel()
 
     # ------------------------------------------------------ cached derived
@@ -145,9 +139,8 @@ class CertifyContext:
 
         Requires inequality marginals matching the row count, plus
         equality marginals whenever the problem has equality rows (the
-        reduced costs need both).  Marginals of the wrong length (e.g.
-        block-local duals surviving a decomposition) degrade to
-        primal-only certification rather than crashing.
+        reduced costs need both).  Marginals of the wrong length degrade
+        to primal-only certification rather than crashing.
         """
         if self.lp.a_ub is not None:
             y = self.solution.ineq_marginals

@@ -114,7 +114,7 @@ def _check_certify(paths: List[str], options: Dict) -> Tuple[int, Dict]:
 
     slots = list(range(options["certify_slots"]))
     found, details = _certify_slots(
-        options["scenario"], slots, "auto", "highs", False
+        options["scenario"], slots, "auto", "highs"
     )
     findings = [f.to_dict() for f in found]
     errors = sum(1 for f in found if f.severity == "error")

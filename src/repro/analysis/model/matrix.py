@@ -78,12 +78,11 @@ def lp_var_labels(topology: CloudTopology) -> List[str]:
 def _canonical_csr(a: object) -> "_sp.csr_matrix":
     """``a`` as CSR with sub-tolerance entries dropped.
 
-    Dense and sparse inputs land on the same canonical structure, so
-    every check below runs over the nonzeros only — on an 1800-server
-    per-server LP that is ~5e4 entries instead of the ~2e8 cells the
-    old dense row/column loops visited.
+    One conversion up front, so every check below runs over the
+    nonzeros only — on an 1800-server per-server LP that is ~5e4
+    entries instead of the ~2e8 cells dense row/column loops visit.
     """
-    mat = a.tocsr(copy=True) if _sp.issparse(a) else _sp.csr_matrix(a)
+    mat = _sp.csr_matrix(a)
     mat.data = np.where(np.abs(mat.data) > _ZERO_TOL, mat.data, 0.0)
     mat.eliminate_zeros()
     mat.sort_indices()

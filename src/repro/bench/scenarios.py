@@ -11,10 +11,9 @@ Six tracked scenarios, each emitting one ``BENCH_<name>.json``:
   reduction vs per-slot re-planning tracked as ratios, alongside the
   periodic-streaming-equals-slotted equivalence check;
 * ``fleet_10x``     — the same day on a 10× fleet (180 servers);
-* ``fleet_100x``    — the same day on a 100× fleet (1800 servers),
-  tracking the production sparse/decomposed path at ROADMAP scale; both
-  fleet scenarios also time a per-server plan loop dense vs sparse and
-  record the symmetry-collapse win as the ``sparse_speedup`` ratio;
+* ``fleet_100x``    — the same day on a 100× fleet (1800 servers); the
+  aggregated slot LP keeps one size at every fleet scale, so the fleet
+  scenarios track per-server plan materialization, not the solve;
 * ``warm_vs_cold``  — the Fig. 11-setup §VII slot pipeline solved cold
   and warm, recording the warm-start layer's speedup as a ratio;
 * ``des_million``   — a ≥10⁶-request M/M/1 validation run on the
@@ -182,18 +181,9 @@ def _slot_pipeline_scenario(
     multiplier: int,
     full_slots: int,
     smoke_slots: int,
-    sparse_ratio: bool = False,
     certify_ratio: bool = False,
 ) -> ScenarioResult:
     """§VI day at ``multiplier``× fleet size through ``run_simulation``.
-
-    With ``sparse_ratio`` (the fleet scenarios) the main timed run uses
-    the production sparse/decomposed solve path — so ``per_phase_s``
-    records the new build/decompose/solve/expand stage split — and a
-    second measurement times a **per-server** plan loop dense vs sparse,
-    where symmetry collapse makes thousand-server fleets tractable.
-    That win lands in ``ratios.sparse_speedup`` and the dense-vs-sparse
-    objectives are pinned in the ``determinism`` section.
 
     With ``certify_ratio`` (the paper-scale scenario) a second
     measurement times the same plan loop with the optimality
@@ -222,9 +212,7 @@ def _slot_pipeline_scenario(
 
     def once() -> Tuple[SimulationResult, InMemoryCollector]:
         collector = InMemoryCollector()
-        optimizer = ProfitAwareOptimizer(
-            topology, config=OptimizerConfig(sparse=sparse_ratio)
-        )
+        optimizer = ProfitAwareOptimizer(topology)
         result = run_simulation(
             optimizer, exp.trace, exp.market,
             num_slots=slots, collector=collector,
@@ -241,7 +229,6 @@ def _slot_pipeline_scenario(
         "num_slots": slots,
         "repeats": repeats,
         "warmup": warmup,
-        "sparse": sparse_ratio,
     }
     determinism: Dict[str, Any] = {
         "num_slots": slots,
@@ -252,53 +239,6 @@ def _slot_pipeline_scenario(
     }
     ratios: Dict[str, float] = {}
 
-    if sparse_ratio:
-        # Dense vs sparse on the *per-server* formulation: the dense
-        # tableau carries one variable per physical server, the sparse
-        # path collapses identical servers before the solve.  Dense at
-        # 100x is seconds per slot, so it gets one pass over a few
-        # slots; the sparse loop is cheap enough to take a median over.
-        ratio_slots = request.param("ratio_slots", 1 if smoke else 2)
-        ratio_repeats = request.param("ratio_repeats", 3)
-        ratio_slots = min(ratio_slots, exp.trace.num_slots)
-
-        def plan_loop(sparse: bool) -> List[float]:
-            optimizer = ProfitAwareOptimizer(topology, config=OptimizerConfig(
-                formulation="per_server", sparse=sparse,
-            ))
-            objectives = []
-            for t in range(ratio_slots):
-                optimizer.plan_slot(
-                    exp.trace.arrivals_at(t), exp.market.prices_at(t),
-                    slot_duration=exp.trace.slot_duration,
-                )
-                objectives.append(float(optimizer.last_stats.objective))
-            return objectives
-
-        dense_timing, dense_obj = time_callable(
-            lambda: plan_loop(False), repeats=1, warmup=0
-        )
-        sparse_timing, sparse_obj = time_callable(
-            lambda: plan_loop(True), repeats=ratio_repeats, warmup=0
-        )
-        ratios["sparse_speedup"] = (
-            dense_timing.median_s / sparse_timing.median_s
-        )
-        config.update({
-            "ratio_formulation": "per_server",
-            "ratio_slots": ratio_slots,
-            "ratio_repeats": ratio_repeats,
-        })
-        determinism.update({
-            "ratio_objectives_dense": dense_obj,
-            "ratio_objectives_sparse": sparse_obj,
-            "ratio_max_rel_diff": max(
-                (abs(s - d) / (1.0 + abs(d))
-                 for s, d in zip(sparse_obj, dense_obj)),
-                default=0.0,
-            ),
-        })
-
     if certify_ratio:
         certify_slots = request.param("certify_slots", 2 if smoke else 8)
         certify_repeats = request.param("certify_repeats", 3)
@@ -307,7 +247,7 @@ def _slot_pipeline_scenario(
         def certify_loop(certify: str) -> Dict[str, int]:
             collector = InMemoryCollector()
             optimizer = ProfitAwareOptimizer(topology, config=OptimizerConfig(
-                sparse=sparse_ratio, certify=certify, collector=collector,
+                certify=certify, collector=collector,
             ))
             for t in range(certify_slots):
                 optimizer.plan_slot(
@@ -483,24 +423,20 @@ def _streaming_ingest(request: ScenarioRequest) -> ScenarioResult:
 
 @register_scenario(
     "fleet_10x",
-    "§VI day on a 10x fleet (180 servers), sparse/decomposed path, plus "
-    "the per-server dense-vs-sparse sparse_speedup ratio",
+    "§VI day on a 10x fleet (180 servers)",
 )
 def _fleet_10x(request: ScenarioRequest) -> ScenarioResult:
     return _slot_pipeline_scenario(request, multiplier=10,
-                                   full_slots=24, smoke_slots=4,
-                                   sparse_ratio=True)
+                                   full_slots=24, smoke_slots=4)
 
 
 @register_scenario(
     "fleet_100x",
-    "§VI day on a 100x fleet (1800 servers), sparse/decomposed path, "
-    "plus the per-server dense-vs-sparse sparse_speedup ratio",
+    "§VI day on a 100x fleet (1800 servers)",
 )
 def _fleet_100x(request: ScenarioRequest) -> ScenarioResult:
     return _slot_pipeline_scenario(request, multiplier=100,
-                                   full_slots=24, smoke_slots=4,
-                                   sparse_ratio=True)
+                                   full_slots=24, smoke_slots=4)
 
 
 @register_scenario(

@@ -3,9 +3,9 @@
 :class:`OptimizerConfig` gathers every knob of
 :class:`~repro.core.optimizer.ProfitAwareOptimizer` into one frozen,
 validated, picklable value — the primary constructor signature is
-``ProfitAwareOptimizer(topology, config=OptimizerConfig(...))``.  The
-old flat keyword arguments still work through a deprecation shim on the
-optimizer itself.
+``ProfitAwareOptimizer(topology, config=OptimizerConfig(...))``, the
+only one the optimizer accepts (flat keyword arguments raise
+``TypeError``).
 
 Keeping the configuration a value (rather than loose kwargs) means it
 can be stored on experiment bundles, shipped across the process-pool
@@ -61,22 +61,6 @@ class OptimizerConfig:
         ``P(sojourn > D) <= eps`` instead of the mean-delay SLA.
     warm_start:
         Reuse formulation caches and solver state across slots.
-    sparse:
-        Route fixed-level slot LPs through the sparse/decomposed solve
-        path (:mod:`repro.solvers.sparse`): CSR constraint matrices,
-        symmetry collapse of identical servers (per-server plans are
-        solved on the aggregated formulation and expanded afterwards),
-        per-class block decomposition, and a dual-simplex RHS-only
-        re-solve for slot-to-slot price/arrival changes.  Produces the
-        same plans and objectives as the dense path (pinned at 1e-6 in
-        the property suite); MILP/big-M/greedy level methods and the
-        fallback chain's alternate backends keep using the dense
-        solvers.
-    sparse_block_workers:
-        Process-pool size for solving decomposed per-class blocks
-        (``None`` or ``1`` solves blocks serially in-process, which is
-        fastest below roughly a thousand servers).  Only meaningful
-        with ``sparse=True``.
     collector:
         Telemetry sink (see :mod:`repro.obs`); the default
         :class:`~repro.obs.collectors.NullCollector` disables all
@@ -138,8 +122,6 @@ class OptimizerConfig:
     deadline_margin: float = 1.0
     percentile_sla: Optional[float] = None
     warm_start: bool = True
-    sparse: bool = False
-    sparse_block_workers: Optional[int] = None
     collector: Collector = field(default_factory=NullCollector, compare=False)
     fallback: bool = True
     fallback_retries: int = 1
@@ -198,16 +180,6 @@ class OptimizerConfig:
             self, "use_spare_capacity", bool(self.use_spare_capacity)
         )
         object.__setattr__(self, "warm_start", bool(self.warm_start))
-        object.__setattr__(self, "sparse", bool(self.sparse))
-        if self.sparse_block_workers is not None:
-            object.__setattr__(
-                self, "sparse_block_workers", int(self.sparse_block_workers)
-            )
-            if self.sparse_block_workers < 1:
-                raise ValueError(
-                    "sparse_block_workers must be >= 1, got "
-                    f"{self.sparse_block_workers}"
-                )
         object.__setattr__(self, "fallback", bool(self.fallback))
         object.__setattr__(self, "fallback_retries", int(self.fallback_retries))
         if self.fallback_retries < 0:

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy import sparse as _sp
 
 from repro.cloud.topology import CloudTopology
 from repro.core.plan import DispatchPlan
@@ -204,82 +203,6 @@ def _require_feasible(
 # Fixed-level LP (one-level TUFs, or any chosen level assignment)
 # ---------------------------------------------------------------------------
 
-def _aggregated_csr(
-    K: int, S: int, L: int, mu: np.ndarray, cap: np.ndarray
-) -> "_sp.csr_matrix":
-    """CSR constraint matrix of the aggregated layout, built vectorized.
-
-    Identical coefficients to the dense loops in
-    :meth:`FixedLevelLPCache._build_aggregated_structure`; row nonzero
-    counts are fixed (delay: S+1, share: K, arrival: L), so the whole
-    matrix assembles from index arithmetic with no Python-level loop.
-    """
-    n_lam = K * S * L
-    n_vars = n_lam + K * L
-    k = np.repeat(np.arange(K), L)  # delay-row class index, row-major
-    l = np.tile(np.arange(L), K)
-    lam_cols = (k[:, None] * S + np.arange(S)[None, :]) * L + l[:, None]
-    phi_cols = (n_lam + k * L + l)[:, None]
-    delay_cols = np.concatenate([lam_cols, phi_cols], axis=1)
-    delay_data = np.concatenate(
-        [np.ones((K * L, S)), -(cap[l] * mu[k, l])[:, None]], axis=1
-    )
-    share_cols = n_lam + (np.arange(K)[None, :] * L + np.arange(L)[:, None])
-    arr_cols = np.arange(K * S)[:, None] * L + np.arange(L)[None, :]
-    indices = np.concatenate(
-        [delay_cols.ravel(), share_cols.ravel(), arr_cols.ravel()]
-    )
-    data = np.concatenate(
-        [delay_data.ravel(), np.ones(L * K), np.ones(K * S * L)]
-    )
-    counts = np.concatenate(
-        [np.full(K * L, S + 1), np.full(L, K), np.full(K * S, L)]
-    )
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    return _sp.csr_matrix(
-        (data, indices, indptr), shape=(K * L + L + K * S, n_vars)
-    )
-
-
-def _per_server_csr(
-    K: int, S: int, N: int, dc_of: np.ndarray,
-    mu: np.ndarray, cap: np.ndarray,
-) -> "_sp.csr_matrix":
-    """CSR constraint matrix of the per-server layout, built vectorized.
-
-    The dense per-server matrix is ``O((K*N + N + K*S) * (K*S*N + K*N))``
-    — roughly a gigabyte at 1800 servers — while its nonzero count is
-    only ``K*N*(S+1) + N*K + K*S*N``; this builder never materializes
-    the zeros.
-    """
-    n_lam = K * S * N
-    n_vars = n_lam + K * N
-    k = np.repeat(np.arange(K), N)  # delay-row class index, row-major
-    n = np.tile(np.arange(N), K)
-    lam_cols = (k[:, None] * S + np.arange(S)[None, :]) * N + n[:, None]
-    phi_cols = (n_lam + k * N + n)[:, None]
-    delay_cols = np.concatenate([lam_cols, phi_cols], axis=1)
-    coeff = -(cap[dc_of[n]] * mu[k, dc_of[n]])
-    delay_data = np.concatenate(
-        [np.ones((K * N, S)), coeff[:, None]], axis=1
-    )
-    share_cols = n_lam + (np.arange(K)[None, :] * N + np.arange(N)[:, None])
-    arr_cols = np.arange(K * S)[:, None] * N + np.arange(N)[None, :]
-    indices = np.concatenate(
-        [delay_cols.ravel(), share_cols.ravel(), arr_cols.ravel()]
-    )
-    data = np.concatenate(
-        [delay_data.ravel(), np.ones(N * K), np.ones(K * S * N)]
-    )
-    counts = np.concatenate(
-        [np.full(K * N, S + 1), np.full(N, K), np.full(K * S, N)]
-    )
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    return _sp.csr_matrix(
-        (data, indices, indptr), shape=(K * N + N + K * S, n_vars)
-    )
-
-
 def _level_tables(
     topology: CloudTopology,
     levels: np.ndarray,
@@ -331,23 +254,15 @@ class FixedLevelLPCache:
 
     Row layout (relied upon by :mod:`repro.core.sensitivity`): delay
     rows (class-major), then share-budget rows, then arrival-cap rows.
-
-    With ``sparse=True`` the constraint matrix is built directly as a
-    ``scipy.sparse`` CSR matrix (same coefficients, same layout, never
-    densified) — the representation the sparse solve path of
-    :mod:`repro.solvers.sparse` rides.  Dense remains the default and
-    serves as the equivalence oracle in tests.
     """
 
     def __init__(
         self,
         topology: CloudTopology,
         per_server: bool = False,
-        sparse: bool = False,
     ) -> None:
         self.topology = topology
         self.per_server = bool(per_server)
-        self.sparse = bool(sparse)
         if self.per_server:
             self._build_per_server_structure()
         else:
@@ -367,27 +282,24 @@ class FixedLevelLPCache:
         self._n_vars = n_vars
         self._M = M
 
-        if self.sparse:
-            self._a_ub = _aggregated_csr(K, S, L, mu, cap)
-        else:
-            a = np.zeros((K * L + L + K * S, n_vars))
-            # (1) Delay: sum_s lam - Phi*C*mu <= -M_l / D_{k,l-level}
-            for k in range(K):
-                for l in range(L):
-                    r = k * L + l
-                    for s in range(S):
-                        a[r, (k * S + s) * L + l] = 1.0
-                    a[r, n_lam + k * L + l] = -cap[l] * mu[k, l]
-            # (2) Shares: sum_k Phi_{k,l} <= M_l
+        a = np.zeros((K * L + L + K * S, n_vars))
+        # (1) Delay: sum_s lam - Phi*C*mu <= -M_l / D_{k,l-level}
+        for k in range(K):
             for l in range(L):
-                for k in range(K):
-                    a[K * L + l, n_lam + k * L + l] = 1.0
-            # (3) Arrivals: sum_l lam <= lambda_{k,s}
-            for k in range(K):
+                r = k * L + l
                 for s in range(S):
-                    r = K * L + L + k * S + s
-                    a[r, (k * S + s) * L:(k * S + s) * L + L] = 1.0
-            self._a_ub = a
+                    a[r, (k * S + s) * L + l] = 1.0
+                a[r, n_lam + k * L + l] = -cap[l] * mu[k, l]
+        # (2) Shares: sum_k Phi_{k,l} <= M_l
+        for l in range(L):
+            for k in range(K):
+                a[K * L + l, n_lam + k * L + l] = 1.0
+        # (3) Arrivals: sum_l lam <= lambda_{k,s}
+        for k in range(K):
+            for s in range(S):
+                r = K * L + L + k * S + s
+                a[r, (k * S + s) * L:(k * S + s) * L + L] = 1.0
+        self._a_ub = a
 
         upper = np.full(n_vars, np.inf)
         upper[n_lam:] = np.tile(M, K)
@@ -420,28 +332,25 @@ class FixedLevelLPCache:
         self._n_vars = n_vars
         self._dc_of = dc_of
 
-        if self.sparse:
-            self._a_ub = _per_server_csr(K, S, N, dc_of, mu, cap)
-        else:
-            a = np.zeros((K * N + N + K * S, n_vars))
-            # (1) Delay per (k, n): sum_s lam - phi*C*mu <= -1/D
-            for k in range(K):
-                for n in range(N):
-                    r = k * N + n
-                    for s in range(S):
-                        a[r, (k * S + s) * N + n] = 1.0
-                    l = dc_of[n]
-                    a[r, n_lam + k * N + n] = -cap[l] * mu[k, l]
-            # (2) Shares per server: sum_k phi <= 1
+        a = np.zeros((K * N + N + K * S, n_vars))
+        # (1) Delay per (k, n): sum_s lam - phi*C*mu <= -1/D
+        for k in range(K):
             for n in range(N):
-                for k in range(K):
-                    a[K * N + n, n_lam + k * N + n] = 1.0
-            # (3) Arrivals: sum_n lam <= lambda_{k,s}
-            for k in range(K):
+                r = k * N + n
                 for s in range(S):
-                    r = K * N + N + k * S + s
-                    a[r, (k * S + s) * N:(k * S + s) * N + N] = 1.0
-            self._a_ub = a
+                    a[r, (k * S + s) * N + n] = 1.0
+                l = dc_of[n]
+                a[r, n_lam + k * N + n] = -cap[l] * mu[k, l]
+        # (2) Shares per server: sum_k phi <= 1
+        for n in range(N):
+            for k in range(K):
+                a[K * N + n, n_lam + k * N + n] = 1.0
+        # (3) Arrivals: sum_n lam <= lambda_{k,s}
+        for k in range(K):
+            for s in range(S):
+                r = K * N + N + k * S + s
+                a[r, (k * S + s) * N:(k * S + s) * N + N] = 1.0
+        self._a_ub = a
 
         upper = np.full(n_vars, np.inf)
         upper[n_lam:] = 1.0
@@ -508,7 +417,6 @@ def fixed_level_lp(
     inputs: SlotInputs,
     levels: Optional[np.ndarray] = None,
     per_server: bool = False,
-    sparse: bool = False,
 ) -> Tuple[LinearProgram, Decoder]:
     """Build the slot LP for a fixed TUF-level assignment.
 
@@ -527,9 +435,6 @@ def fixed_level_lp(
     per_server:
         Use the paper-faithful per-server variable layout instead of the
         aggregated one.
-    sparse:
-        Build the constraint matrix as a ``scipy.sparse`` CSR matrix
-        (same coefficients, same layout) instead of a dense ndarray.
 
     Returns
     -------
@@ -537,9 +442,7 @@ def fixed_level_lp(
         ``lp`` minimizes *negative* net profit; ``decoder`` maps an LP
         solution vector to a :class:`DispatchPlan`.
     """
-    cache = FixedLevelLPCache(
-        inputs.topology, per_server=per_server, sparse=sparse
-    )
+    cache = FixedLevelLPCache(inputs.topology, per_server=per_server)
     return cache.build(inputs, levels=levels)
 
 

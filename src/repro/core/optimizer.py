@@ -56,14 +56,6 @@ from repro.solvers.base import (
 from repro.solvers.branch_bound import solve_milp
 from repro.solvers.levels import coordinate_descent_levels
 from repro.solvers.linprog import solve_lp
-from repro.solvers.sparse import (
-    BlockPlan,
-    class_blocks,
-    solve_decomposed,
-    solve_sparse_lp,
-    validate_block_plan,
-)
-from repro.solvers.tolerances import ZERO_TOL
 
 __all__ = ["OptimizerConfig", "ProfitAwareOptimizer", "SolveStats"]
 
@@ -93,9 +85,6 @@ class SolveStats:
     solve_time: float = 0.0
     #: Wall seconds spent on consolidation / spare-capacity passes.
     postprocess_time: float = 0.0
-    #: Integer number of powered servers implied by the plan's share
-    #: mass (filled by the sparse path's symmetry collapse; 0 elsewhere).
-    active_servers: int = 0
     #: Position in the fallback chain that produced the plan (0 = the
     #: requested solver succeeded; see ``OptimizerConfig.fallback``).
     fallback_level: int = 0
@@ -203,14 +192,6 @@ class ProfitAwareOptimizer:
         # Formulation caches (structure only; built lazily, never reset).
         self._lp_cache: Optional[FixedLevelLPCache] = None
         self._milp_cache: Optional[MultilevelMILPCache] = None
-        # Sparse solve path (config.sparse): CSR aggregated cache — the
-        # symmetry collapse of identical servers — plus the per-class
-        # block plan and its warm-start states.
-        self._sparse_cache: Optional[FixedLevelLPCache] = None
-        self._sparse_blocks: Optional[List[BlockPlan]] = None
-        self._sparse_coupling: Optional[np.ndarray] = None
-        self._sparse_block_states: Optional[List[Optional[SolverState]]] = None
-        self._sparse_joint_state: Optional[SolverState] = None
         self._exploded_topology: Optional[CloudTopology] = None
         # Last-resort fallback dispatcher (built lazily, topology-static).
         self._baseline: Optional[BalancedDispatcher] = None
@@ -307,7 +288,6 @@ class ProfitAwareOptimizer:
             build_time=float(stats.get("build_time", 0.0)),
             solve_time=float(stats.get("solve_time", 0.0)),
             postprocess_time=postprocess_time,
-            active_servers=int(stats.get("active_servers", 0)),
             fallback_level=fallback_level,
             fallback_stage=fallback_stage,
             failure=failure,
@@ -333,11 +313,6 @@ class ProfitAwareOptimizer:
                     "build": float(stats.get("build_time", 0.0)),
                     "solve": float(stats.get("solve_time", 0.0)),
                     "postprocess": postprocess_time,
-                    # The sparse path adds disjoint stage timings
-                    # (collapse/decompose/expand) so fleet benches can
-                    # see where the time went.
-                    **{key: float(value) for key, value
-                       in stats.get("extra_phases", {}).items()},
                 },
                 iterations=int(stats.get("iterations", 0)),
                 nodes=int(stats.get("nodes", 0)),
@@ -390,7 +365,7 @@ class ProfitAwareOptimizer:
         """Run the optimality certifier per ``config.certify``.
 
         ``payload`` is the winning solve stage's ``{"problem",
-        "solution", "plan", "coupling_rows"?}`` capture (stages that
+        "solution", "plan"}`` capture (stages that
         produce no certifiable LP — big-M, the balanced baseline — stash
         nothing, which counts as a skip).  Returns the findings as plain
         dicts (for the slot trace); raises :class:`SolverError` in
@@ -411,7 +386,6 @@ class ProfitAwareOptimizer:
             payload["solution"],
             inputs=inputs,
             plan=payload.get("plan"),
-            coupling_rows=payload.get("coupling_rows"),
         )
         if collector.enabled:
             collector.increment("optimizer.certifies")
@@ -527,8 +501,6 @@ class ProfitAwareOptimizer:
         cause of a failed solve) without rewinding the trace counter."""
         self._lp_state = None
         self._milp_state = None
-        self._sparse_block_states = None
-        self._sparse_joint_state = None
         self._greedy_lp_states.clear()
         self._greedy_last_state = None
         self._greedy_levels = None
@@ -601,11 +573,6 @@ class ProfitAwareOptimizer:
     ) -> Tuple[DispatchPlan, Dict]:
         # A fallback stage re-solving with an alternate backend neither
         # consumes nor overwrites the primary backend's warm state.
-        # The sparse/decomposed path serves only the primary stage:
-        # fallback stages name their backend explicitly and stay dense,
-        # so they remain independent implementations.
-        if self.config.sparse and lp_method is None:
-            return self._solve_lp_sparse(inputs, max_iterations=max_iterations)
         override = lp_method is not None and lp_method != self.lp_method
         lp_method = lp_method if lp_method is not None else self.lp_method
         t0 = time.perf_counter()
@@ -639,108 +606,6 @@ class ProfitAwareOptimizer:
         if self.config.certify != "off":
             stats["certify"] = {
                 "problem": lp, "solution": solution, "plan": plan,
-            }
-        return plan, stats
-
-    def _solve_lp_sparse(
-        self,
-        inputs: SlotInputs,
-        max_iterations: Optional[int] = None,
-    ) -> Tuple[DispatchPlan, Dict]:
-        """Sparse/decomposed slot solve (``config.sparse``).
-
-        Always formulates on the **aggregated** CSR cache — for
-        ``formulation="per_server"`` this *is* the symmetry collapse:
-        identical servers within a data center become one aggregate
-        share variable, and the decoder expands the solution back to a
-        per-server plan (exact for homogeneous servers, see
-        ``fixed_level_lp``).  The per-class block decomposition is tried
-        first (independent blocks, each warm-started from its own
-        state); when a coupling row binds, the joint LP is solved by
-        the bounded dual simplex with an RHS-only warm re-solve.
-
-        Stage timings are reported disjointly so the slot trace shows
-        where the time went: ``build`` (or ``collapse`` under
-        per-server), ``decompose`` (block solves + coupling check),
-        ``solve`` (joint solve — zero when decomposition succeeded),
-        and ``expand`` (decode back to a per-server plan).
-        """
-        use_warm = self.warm_start
-        t0 = time.perf_counter()
-        if self._sparse_cache is None:
-            self._sparse_cache = FixedLevelLPCache(self.topology, sparse=True)
-        lp, decoder = self._sparse_cache.build(inputs)
-        t1 = time.perf_counter()
-        topo = self.topology
-        K, S, L = topo.num_classes, topo.num_frontends, topo.num_datacenters
-        if self._sparse_blocks is None or self._sparse_coupling is None:
-            blocks, coupling = class_blocks(K, S, L)
-            validate_block_plan(lp, blocks, coupling)
-            self._sparse_blocks = blocks
-            self._sparse_coupling = coupling
-        warm_offered = use_warm and (
-            self._sparse_block_states is not None
-            or self._sparse_joint_state is not None
-        )
-        decomposed = solve_decomposed(
-            lp, self._sparse_blocks, self._sparse_coupling,
-            states=self._sparse_block_states if use_warm else None,
-            collector=self.collector,
-            max_iterations=max_iterations,
-            workers=self.config.sparse_block_workers,
-        )
-        t2 = time.perf_counter()
-        if decomposed is not None:
-            solution = decomposed.solution
-            if use_warm:
-                self._sparse_block_states = decomposed.states
-            joint_time = 0.0
-        else:
-            solution = solve_sparse_lp(
-                lp,
-                state=self._sparse_joint_state if use_warm else None,
-                collector=self.collector,
-                max_iterations=max_iterations,
-            )
-            joint_time = time.perf_counter() - t2
-            if use_warm:
-                self._sparse_joint_state = (
-                    solution.state if solution.ok else None
-                )
-        if not solution.ok:
-            raise SolverError(
-                f"slot LP failed: {solution.status.value} {solution.message}"
-            )
-        t3 = time.perf_counter()
-        plan = decoder(solution.x)
-        expand_time = time.perf_counter() - t3
-        # Integer server counts implied by the aggregate share mass.
-        n_lam = K * S * L
-        dc_shares = solution.x[n_lam:n_lam + K * L].reshape(K, L).sum(axis=0)
-        active_servers = int(np.ceil(np.maximum(dc_shares, 0.0) - ZERO_TOL).sum())
-        extra_phases = {"decompose": t2 - t1, "expand": expand_time}
-        if self.formulation == "per_server":
-            build_time, extra_phases["collapse"] = 0.0, t1 - t0
-        else:
-            build_time = t1 - t0
-        stats = {
-            "num_variables": lp.num_variables,
-            "num_constraints": lp.num_constraints,
-            "iterations": solution.iterations,
-            "objective": -solution.objective,
-            "warm_offered": warm_offered,
-            "warm_used": solution.warm_start_used,
-            "build_time": build_time,
-            "solve_time": joint_time,
-            "extra_phases": extra_phases,
-            "active_servers": active_servers,
-        }
-        if self.collector.enabled:
-            stats["residuals"] = lp.residuals(solution.x)
-        if self.config.certify != "off":
-            stats["certify"] = {
-                "problem": lp, "solution": solution, "plan": plan,
-                "coupling_rows": self._sparse_coupling,
             }
         return plan, stats
 

@@ -30,7 +30,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,95 +47,8 @@ from repro.workload.traces import WorkloadTrace
 
 __all__ = [
     "DispatcherSpec",
-    "WorkerError",
-    "parallel_map",
     "parallel_run_simulation",
 ]
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
-
-
-class WorkerError(RuntimeError):
-    """One labeled ``parallel_map`` item failed.
-
-    The message leads with the caller-supplied item label (e.g. the
-    sparse path's ``block[class=2]``) followed by the original exception
-    type and text, so a crash deep inside a pooled work item identifies
-    *which* item died instead of surfacing as an anonymous pool error.
-    The original exception is chained as ``__cause__`` in serial mode
-    (chaining does not survive the process-pool pickling boundary).
-    """
-
-
-def _labeled_call(packed: Tuple[Callable[[_T], _R], str, _T]) -> _R:
-    """Top-level (picklable) wrapper labeling one item's failure."""
-    fn, label, item = packed
-    try:
-        return fn(item)
-    except Exception as exc:
-        raise WorkerError(f"{label}: {type(exc).__name__}: {exc}") from exc
-
-
-def parallel_map(
-    fn: Callable[[_T], _R],
-    items: Sequence[_T],
-    workers: Optional[int] = None,
-    labels: Optional[Sequence[str]] = None,
-) -> List[_R]:
-    """Order-preserving map over ``items``, optionally across processes.
-
-    The generic fan-out primitive behind the decomposed sparse solve
-    (:func:`repro.solvers.sparse.solve_decomposed`): independent block
-    subproblems are mapped over the same process pool this module uses
-    for slot-level parallelism.  ``fn`` and every item must be picklable
-    when ``workers > 1``.
-
-    ``workers=None`` or ``workers <= 1`` — or a single item, where pool
-    overhead can only lose — runs serially in-process.  A broken pool
-    (e.g. a worker killed by the OS) falls back to the serial path
-    rather than losing the computation.
-
-    ``labels`` (one per item) opts into failure attribution: an
-    exception raised by ``fn`` for item ``i`` is re-raised as
-    :class:`WorkerError` with ``labels[i]`` leading the message, in both
-    the serial and pooled modes.  Without labels, exceptions raised by
-    ``fn`` itself propagate unchanged in both modes.
-    """
-    items = list(items)
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1 (got {workers})")
-    if labels is not None and len(labels) != len(items):
-        raise ValueError(
-            f"labels must match items: {len(labels)} labels for "
-            f"{len(items)} items"
-        )
-
-    def run_serial() -> List[_R]:
-        if labels is None:
-            return [fn(item) for item in items]
-        return [
-            _labeled_call((fn, label, item))
-            for label, item in zip(labels, items)
-        ]
-
-    if workers is None or workers <= 1 or len(items) <= 1:
-        return run_serial()
-    workers = min(int(workers), len(items))
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            if labels is None:
-                return list(pool.map(fn, items))
-            packed = [
-                (fn, label, item) for label, item in zip(labels, items)
-            ]
-            return list(pool.map(_labeled_call, packed))
-    except BrokenProcessPool:
-        warnings.warn(
-            "process pool died during parallel_map; re-running serially",
-            RuntimeWarning,
-        )
-        return run_serial()
 
 _KINDS = {
     "optimized": ProfitAwareOptimizer,

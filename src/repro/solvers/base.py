@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import sparse as _sp
 
 from repro.solvers.tolerances import FEASIBILITY_TOL
 
@@ -44,16 +43,6 @@ class SolverError(RuntimeError):
 def _as_2d(arr: object, name: str, ncols: int) -> Optional[np.ndarray]:
     if arr is None:
         return None
-    if _sp.issparse(arr):
-        # Sparse constraint matrices pass through untouched (CSR
-        # canonical form) — densifying here would defeat the sparse
-        # solve path.  ``@`` works identically on them below.
-        out = arr.tocsr()
-        if out.shape[1] != ncols:
-            raise ValueError(
-                f"{name} must have {ncols} columns, got {out.shape[1]}"
-            )
-        return out
     out = np.atleast_2d(np.asarray(arr, dtype=float))
     if out.shape[1] != ncols:
         raise ValueError(f"{name} must have {ncols} columns, got {out.shape[1]}")
@@ -66,11 +55,6 @@ class LinearProgram:
 
     ``lower`` defaults to 0 and ``upper`` to +inf (the natural ranges for
     rates and CPU shares in the paper's formulation).
-
-    ``a_ub``/``a_eq`` may be dense ndarrays or ``scipy.sparse`` matrices;
-    sparse inputs are normalized to CSR and never densified, so
-    fleet-scale per-server formulations stay at their true nonzero
-    footprint end to end (see :mod:`repro.solvers.sparse`).
     """
 
     c: np.ndarray

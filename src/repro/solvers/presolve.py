@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import sparse as _sp
 
 from repro.obs.collectors import NULL_COLLECTOR, Collector
 from repro.solvers.base import (
@@ -71,29 +70,8 @@ def presolve(
     return result
 
 
-def _sparse_rows(
-    mat: "_sp.spmatrix", free_idx: np.ndarray, tol: float
-) -> "tuple[_sp.csr_matrix, np.ndarray]":
-    """Reduced CSR (free columns only) and its per-row nonzero counts.
-
-    Sub-``tol`` entries are dropped so the row-emptiness and interval
-    checks below see the same structure the dense path's
-    ``np.abs(row) > tol`` test sees — without densifying anything.
-    """
-    red = mat.tocsr()[:, free_idx].tocsr()
-    red.data = np.where(np.abs(red.data) > tol, red.data, 0.0)
-    red.eliminate_zeros()
-    return red, np.diff(red.indptr)
-
-
 def _reduce(lp: LinearProgram, tol: float) -> PresolveResult:
-    """The reduction pass behind :func:`presolve`.
-
-    Sparse (CSR) constraint matrices take a vectorized branch with the
-    same semantics as the dense row loop: empty rows become
-    satisfiability checks, rows whose interval-arithmetic worst case
-    cannot bind are dropped, and the reduced matrix stays sparse.
-    """
+    """The reduction pass behind :func:`presolve`."""
     n = lp.num_variables
     fixed_mask = np.isclose(lp.lower, lp.upper, rtol=0.0, atol=tol)
     fixed_values = np.where(fixed_mask, lp.lower, 0.0)
@@ -108,31 +86,7 @@ def _reduce(lp: LinearProgram, tol: float) -> PresolveResult:
     # Fold fixed columns into the right-hand sides.
     a_ub = b_ub = a_eq = b_eq = None
     dropped = 0
-    if lp.a_ub is not None and _sp.issparse(lp.a_ub):
-        b_ub_adj = np.asarray(lp.b_ub - lp.a_ub @ fixed_values).ravel()
-        a_ub_red, row_nnz = _sparse_rows(lp.a_ub, free_idx, tol)
-        lo = lp.lower[free_idx]
-        hi = lp.upper[free_idx]
-        empty = row_nnz == 0
-        if np.any(empty & (b_ub_adj < -ZERO_TOL)):
-            return PresolveResult(
-                reduced=None, restore=restore, objective_offset=offset,
-                verdict=SolveStatus.INFEASIBLE,
-                fixed_variables=int(fixed_mask.sum()),
-            )
-        pos = a_ub_red.maximum(0.0)
-        neg = a_ub_red.minimum(0.0)
-        with np.errstate(invalid="ignore"):
-            worst = np.asarray(pos @ hi + neg @ lo).ravel()
-        redundant = (
-            (~empty) & np.isfinite(worst) & (worst <= b_ub_adj + STRICT_TOL)
-        )
-        keep_mask = ~(empty | redundant)
-        dropped += int(empty.sum() + redundant.sum())
-        if np.any(keep_mask):
-            a_ub = a_ub_red[keep_mask]
-            b_ub = b_ub_adj[keep_mask]
-    elif lp.a_ub is not None:
+    if lp.a_ub is not None:
         b_ub_adj = lp.b_ub - lp.a_ub @ fixed_values
         a_ub_red = lp.a_ub[:, free_idx]
         keep = []
@@ -160,21 +114,7 @@ def _reduce(lp: LinearProgram, tol: float) -> PresolveResult:
         if keep:
             a_ub = a_ub_red[keep]
             b_ub = b_ub_adj[keep]
-    if lp.a_eq is not None and _sp.issparse(lp.a_eq):
-        b_eq_adj = np.asarray(lp.b_eq - lp.a_eq @ fixed_values).ravel()
-        a_eq_red, row_nnz = _sparse_rows(lp.a_eq, free_idx, tol)
-        empty = row_nnz == 0
-        if np.any(empty & (np.abs(b_eq_adj) > ZERO_TOL)):
-            return PresolveResult(
-                reduced=None, restore=restore, objective_offset=offset,
-                verdict=SolveStatus.INFEASIBLE,
-                fixed_variables=int(fixed_mask.sum()),
-            )
-        dropped += int(empty.sum())
-        if np.any(~empty):
-            a_eq = a_eq_red[~empty]
-            b_eq = b_eq_adj[~empty]
-    elif lp.a_eq is not None:
+    if lp.a_eq is not None:
         b_eq_adj = lp.b_eq - lp.a_eq @ fixed_values
         a_eq_red = lp.a_eq[:, free_idx]
         keep = []

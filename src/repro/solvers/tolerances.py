@@ -41,8 +41,7 @@ FEASIBILITY_TOL = 1e-6
 INTEGRALITY_TOL = 1e-6
 
 #: Reduced-cost / complementarity target of the iterative solvers (the
-#: primal simplex pricing tolerance, the IPM convergence criterion, the
-#: dual simplex's primal-violation stopping threshold).
+#: primal simplex pricing tolerance, the IPM convergence criterion).
 OPTIMALITY_TOL = 1e-8
 
 #: Slack allowed when revalidating a warm-started basis against new slot
@@ -52,11 +51,11 @@ OPTIMALITY_TOL = 1e-8
 WARM_BASIS_TOL = 1e-7
 
 #: General numerical zero for pivot-eligibility tests, tie-breaking,
-#: bound nudges before ceil/floor, and coupling-row checks.
+#: bound nudges before ceil/floor.
 ZERO_TOL = 1e-9
 
-#: Below this magnitude a pivot element is treated as vanished and the
-#: basis exchange is refused (dual simplex).
+#: Below this (relative) magnitude a pivot is treated as vanished — the
+#: interior-point solver's QR rank test for dependent rows.
 PIVOT_TOL = 1e-10
 
 #: Strictest tolerance: presolve fixed-variable/redundancy detection,

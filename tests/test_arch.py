@@ -342,46 +342,24 @@ class TestDeadCode:
         assert [f.component for f in modules] == ["module[pkg.island]"]
 
 
-# ------------------------------------------------------------ AR040-AR042
+# ------------------------------------------------------------ AR041-AR042
 
 
 HOT_CONTRACT = LayerContract(hot_paths=("pkg.hot",))
 
 
 class TestHotPathPurity:
-    def test_densify_in_hot_module_is_flagged(self, tmp_path):
-        write_tree(tmp_path, {
-            "pkg/hot/kernel.py": (
-                "def solve(mat):\n"
-                "    return mat.toarray().sum()\n"
-            ),
-        })
-        report = audit(tmp_path, contract=HOT_CONTRACT)
-        findings = [f for f in report.findings if f.code == "AR040"]
-        assert findings and findings[0].severity == "warning"
-        assert "toarray" in findings[0].message
-
-    def test_asarray_over_sparse_name_is_flagged(self, tmp_path):
-        write_tree(tmp_path, {
-            "pkg/hot/kernel.py": (
-                "import numpy as np\n"
-                "def solve(csr_mat):\n"
-                "    return np.asarray(csr_mat)\n"
-            ),
-        })
-        report = audit(tmp_path, contract=HOT_CONTRACT)
-        assert [f.code for f in report.findings
-                if f.code == "AR040"] == ["AR040"]
-
     def test_same_code_in_cold_module_passes(self, tmp_path):
         write_tree(tmp_path, {
-            "pkg/cold/kernel.py": (
-                "def solve(mat):\n"
-                "    return mat.toarray().sum()\n"
+            "pkg/cold/loop.py": (
+                "def fill(x, n):\n"
+                "    for i in range(n):\n"
+                "        x[i] = i * 2.0\n"
+                "    return x\n"
             ),
         })
         report = audit(tmp_path, contract=HOT_CONTRACT)
-        assert [f for f in report.findings if f.code == "AR040"] == []
+        assert [f for f in report.findings if f.code == "AR041"] == []
 
     def test_scalar_index_loop_is_flagged(self, tmp_path):
         write_tree(tmp_path, {
@@ -453,7 +431,7 @@ class TestRegistry:
         leads = [rule.code for rule in all_arch_rules()]
         assert leads == sorted(leads)
         for expected in ("AR010", "AR011", "AR020", "AR030", "AR031",
-                         "AR040"):
+                         "AR041", "AR042"):
             assert any(
                 expected in rule.codes for rule in all_arch_rules()
             ), expected

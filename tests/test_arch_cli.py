@@ -84,7 +84,7 @@ class TestExitCodes:
     def test_list_rules_catalog(self, capsys):
         assert main(["arch", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("AR010", "AR020", "AR030", "AR040"):
+        for code in ("AR010", "AR020", "AR030", "AR041"):
             assert code in out
 
     def test_acceptance_gate_src_is_clean(self):

@@ -42,10 +42,8 @@ TINY_OVERRIDES = {
     "paper_scale": {"slots": 2, "repeats": 1, "warmup": 0},
     "streaming_ingest": {"slots": 4, "ticks_per_slot": 2, "repeats": 1,
                          "warmup": 0},
-    "fleet_10x": {"slots": 1, "repeats": 1, "warmup": 0,
-                  "ratio_slots": 1, "ratio_repeats": 1},
-    "fleet_100x": {"slots": 1, "repeats": 1, "warmup": 0,
-                   "ratio_slots": 1, "ratio_repeats": 1},
+    "fleet_10x": {"slots": 1, "repeats": 1, "warmup": 0},
+    "fleet_100x": {"slots": 1, "repeats": 1, "warmup": 0},
     "warm_vs_cold": {"slots": 2, "repeats": 1, "warmup": 0,
                      "servers_per_dc": 2},
     "des_million": {"requests": 2_000, "repeats": 1},
@@ -315,15 +313,14 @@ class TestScenarioDeterminism:
                               overrides=TINY_OVERRIDES["fleet_10x"])
         assert record["config"]["fleet_multiplier"] == 10
         assert record["config"]["num_servers"] == 180
-        assert record["config"]["sparse"] is True
-        # Sparse-path SlotTrace breakdown, new stage timings included.
-        assert "decompose" in record["timing"]["per_phase_s"]
-        # The per-server dense-vs-sparse ratio, with its equivalence pin.
-        assert record["timing"]["ratios"]["sparse_speedup"] > 1.0
+        # The default slot pipeline: one phase per SlotTrace stage.
+        assert set(record["timing"]["per_phase_s"]) == {
+            "build", "solve", "postprocess",
+        }
+        assert record["timing"]["ratios"] == {}
         det = record["determinism"]
-        assert det["ratio_max_rel_diff"] < 1e-6
-        assert len(det["ratio_objectives_dense"]) == \
-            record["config"]["ratio_slots"]
+        assert det["fallback_slots"] == 0
+        assert len(det["objectives"]) == record["config"]["num_slots"]
 
     def test_streaming_ingest_tracks_solve_reduction(self):
         record = run_scenario(

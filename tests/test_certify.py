@@ -3,9 +3,9 @@
 A certifier earns its keep by *rejecting* corrupted certificates, not
 by passing clean ones: each test here takes a known-optimal solve and
 breaks exactly one invariant (a basic variable, a dual sign, the
-objective, a coupling row, an incumbent's integrality), asserting the
-precise ``CT0xx`` code fires.  The §VI acceptance test then certifies a
-full simulated day on both the dense and sparse paths.
+objective, the plan's profit, an incumbent's integrality), asserting
+the precise ``CT0xx`` code fires.  The §VI acceptance test then
+certifies a full simulated day.
 """
 
 from dataclasses import replace
@@ -178,15 +178,6 @@ class TestAdversarialCorruption:
         assert "CT041" in _codes(report)
         assert report.clean  # warning, not error
 
-    def test_violated_coupling_row_is_ct050(self):
-        lp, sol = _solved_lp()
-        report = certify_solution(
-            lp,
-            replace(sol, x=np.array([1.0, 1.0])),
-            coupling_rows=np.array([0]),
-        )
-        assert "CT050" in _codes(report)
-
     def test_no_solution_vector_is_ct010(self):
         lp, _ = _solved_lp()
         sol = Solution(status=SolveStatus.INFEASIBLE)
@@ -212,7 +203,7 @@ class TestProfitIdentity:
         inputs, lp, sol, plan = self._solved_slot(small_topology)
         report = certify_solution(lp, sol, inputs=inputs, plan=plan)
         assert report.clean, report.render_text()
-        assert "decomposition-invariants" in report.details["checked"]
+        assert "plan-profit" in report.details["checked"]
 
     def test_profit_shortfall_is_ct051_error(self, small_topology):
         inputs, lp, sol, plan = self._solved_slot(small_topology)
@@ -249,11 +240,11 @@ class TestProfitIdentity:
 class TestRegistry:
     def test_five_families_sorted_by_lead_code(self):
         leads = [rule.code for rule in all_certify_rules()]
-        assert leads == ["CT010", "CT020", "CT030", "CT040", "CT050"]
+        assert leads == ["CT010", "CT020", "CT030", "CT040", "CT051"]
 
     def test_lookup_by_member_code(self):
         assert get_certify_rule("CT021").name == "dual-feasibility"
-        assert get_certify_rule("CT051").name == "decomposition-invariants"
+        assert get_certify_rule("CT051").name == "plan-profit"
         with pytest.raises(KeyError):
             get_certify_rule("CT999")
 
@@ -356,16 +347,13 @@ class TestOptimizerWiring:
         assert again.certificates == trace.certificates
 
 
-@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
-def test_section6_day_certifies_clean(sparse):
+def test_section6_day_certifies_clean():
     """Acceptance: every solve of the §VI day passes verification."""
     from repro.experiments.section6 import section6_experiment
 
     exp = section6_experiment()
     collector = InMemoryCollector()
-    config = OptimizerConfig(
-        sparse=sparse, certify="warn", collector=collector
-    )
+    config = OptimizerConfig(certify="warn", collector=collector)
     optimizer = ProfitAwareOptimizer(exp.topology, config=config)
     for slot in range(exp.trace.num_slots):
         optimizer.plan_slot(

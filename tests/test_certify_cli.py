@@ -34,10 +34,6 @@ class TestExitCodes:
 
 
 class TestBackends:
-    def test_sparse_path_certifies_clean(self, capsys):
-        assert main(["certify", "--sparse"]) == 0
-        assert "0 error(s)" in capsys.readouterr().out
-
     def test_simplex_backend_certifies_clean(self, capsys):
         # The dense simplex attaches no duals, so the dual families
         # skip; the primal families must still come back clean.
@@ -74,7 +70,7 @@ class TestListChecks:
         assert main(["certify", "--list-checks"]) == 0
         out = capsys.readouterr().out
         for code in ("CT010", "CT011", "CT020", "CT021", "CT030",
-                     "CT031", "CT040", "CT041", "CT050", "CT051"):
+                     "CT031", "CT040", "CT041", "CT051"):
             assert code in out
 
 

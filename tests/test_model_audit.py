@@ -10,6 +10,7 @@ import pytest
 from repro.analysis.model import (
     ModelFinding,
     all_audit_rules,
+    analyze_program,
     audit_slot,
     get_audit_rule,
     minimal_big_for_series,
@@ -20,7 +21,7 @@ from repro.cloud.frontend import FrontEnd
 from repro.cloud.topology import CloudTopology
 from repro.core.bigm import DEFAULT_BIG
 from repro.core.config import OptimizerConfig
-from repro.core.formulation import SlotInputs
+from repro.core.formulation import SlotInputs, fixed_level_lp
 from repro.core.optimizer import ProfitAwareOptimizer
 from repro.core.request import RequestClass
 from repro.core.tuf import ConstantTUF
@@ -147,6 +148,19 @@ class TestCleanSlots:
         )
         assert set(details["matrix"]) == {"lp", "milp"}
         assert all(v > 0 for v in details["feasibility_margin"].values())
+
+    def test_per_server_program_matrix_is_clean(self, onelevel_inputs):
+        # The literal per-server (Fig. 11) LP through the matrix passes
+        # directly, outside the slot auditor's aggregated view.
+        lp, _ = fixed_level_lp(onelevel_inputs, per_server=True)
+
+        def make(code, severity, component, message, **data):
+            return ModelFinding(code=code, severity=severity,
+                                component=component, message=message,
+                                data=data)
+
+        findings = list(analyze_program(lp, "lp", make))
+        assert [f for f in findings if f.severity == "error"] == []
 
 
 class TestMisScaledSlots:

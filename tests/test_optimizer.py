@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.cloud.datacenter import DataCenter
+from repro.cloud.frontend import FrontEnd
+from repro.cloud.topology import CloudTopology
 from repro.core.objective import evaluate_plan
 from repro.core.optimizer import OptimizerConfig, ProfitAwareOptimizer, _explode_topology
+from repro.core.request import RequestClass
+from repro.core.tuf import ConstantTUF
+from repro.sim.failures import degraded_topology
 
 
 def profits(topology, optimizer, arrivals, prices):
@@ -169,3 +175,71 @@ class TestSolveStats:
         assert opt.last_stats.wall_time > 0
         assert opt.last_stats.formulation == "aggregated"
         assert opt.last_stats.objective > 0
+
+
+def _degenerate_topology(servers=(3, 2), mu=3000.0):
+    classes = (
+        RequestClass("c0", ConstantTUF(8.0, 0.05), transfer_unit_cost=1e-4),
+        RequestClass("c1", ConstantTUF(6.0, 0.08), transfer_unit_cost=2e-4),
+    )
+    datacenters = tuple(
+        DataCenter(
+            f"dc{l}", num_servers=count,
+            service_rates=np.array([mu, mu * 1.2]),
+            energy_per_request=np.array([2e-4, 3e-4]),
+        )
+        for l, count in enumerate(servers)
+    )
+    frontends = (FrontEnd("fe0"), FrontEnd("fe1"))
+    distances = np.array([[200.0, 800.0], [500.0, 300.0]])
+    return CloudTopology(
+        request_classes=classes, frontends=frontends,
+        datacenters=datacenters, distances=distances,
+    )
+
+
+_DEGENERATE_SLOTS = {
+    "zero_arrival_frontend": (
+        _degenerate_topology, np.array([[0.0, 600.0], [0.0, 300.0]]),
+    ),
+    "zero_arrival_class": (
+        _degenerate_topology, np.array([[0.0, 0.0], [300.0, 300.0]]),
+    ),
+    "all_zero_arrivals": (_degenerate_topology, np.zeros((2, 2))),
+    "zero_server_datacenter": (
+        lambda: degraded_topology(_degenerate_topology(), [3, 0]),
+        np.array([[400.0, 200.0], [150.0, 250.0]]),
+    ),
+    "single_server_datacenters": (
+        lambda: _degenerate_topology(servers=(1, 1)),
+        np.array([[300.0, 200.0], [150.0, 250.0]]),
+    ),
+}
+
+
+class TestDegenerateSlots:
+    """Degenerate slot data takes the primary LP path, not a fallback."""
+
+    @pytest.mark.parametrize("warm_start", [True, False])
+    @pytest.mark.parametrize("case", sorted(_DEGENERATE_SLOTS))
+    def test_default_path_solves_degenerate_slot(self, case, warm_start):
+        make_topology, arrivals = _DEGENERATE_SLOTS[case]
+        topo = make_topology()
+        prices = np.array([0.05, 0.08])
+        opt = ProfitAwareOptimizer(topo, config=OptimizerConfig(
+            level_method="lp", warm_start=warm_start,
+        ))
+        # A regular slot first, so the warm run offers carried-over state.
+        opt.plan_slot(np.array([[400.0, 200.0], [150.0, 250.0]]), prices)
+        plan = opt.plan_slot(arrivals, prices)
+        assert opt.last_stats.fallback_level == 0
+        assert plan.meets_deadlines()
+        reference = ProfitAwareOptimizer(topo, config=OptimizerConfig(
+            level_method="lp", lp_method="simplex", warm_start=False,
+        ))
+        reference.plan_slot(arrivals, prices)
+        assert opt.last_stats.objective == pytest.approx(
+            reference.last_stats.objective, rel=1e-6, abs=1e-9
+        )
+        if case == "zero_server_datacenter":
+            assert np.all(plan.dc_rates()[:, :, 1] == 0.0)

@@ -59,7 +59,7 @@ class TestDispatchPlan:
         plan = make_plan(single_class_topology, load_per_server=130.0, share=0.8)
         assert np.all(np.isinf(plan.delays()))
 
-    def test_active_servers(self, single_class_topology):
+    def test_active_server_mask(self, single_class_topology):
         rates = np.zeros((1, 1, 4))
         rates[0, 0, :2] = 10.0
         plan = DispatchPlan(single_class_topology, rates, np.full((1, 4), 0.5))

@@ -9,7 +9,7 @@ from repro.core.plan import DispatchPlan
 
 
 class TestWithSpareCapacityDistributed:
-    def test_fills_active_servers(self, small_topology):
+    def test_fills_loaded_servers(self, small_topology):
         rates = np.zeros((2, 2, 5))
         rates[0, 0, 0] = 10.0
         rates[1, 0, 0] = 5.0
