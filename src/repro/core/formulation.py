@@ -249,8 +249,10 @@ class FixedLevelLPCache:
     pays, which dominates per-slot cost in day-long runs (cf. the
     paper's Fig. 11 computation-time study).
 
-    Returned problems **share** the cache's constraint matrix; treat
-    ``lp.a_ub`` as read-only.
+    Returned problems **share** the cache's constraint matrix, which is
+    read-only (``flags.writeable`` is False).  The HiGHS backend of
+    :func:`repro.solvers.solve_lp` keys its persistent model on that
+    shared array.
 
     Row layout (relied upon by :mod:`repro.core.sensitivity`): delay
     rows (class-major), then share-budget rows, then arrival-cap rows.
@@ -299,6 +301,7 @@ class FixedLevelLPCache:
             for s in range(S):
                 r = K * L + L + k * S + s
                 a[r, (k * S + s) * L:(k * S + s) * L + L] = 1.0
+        a.flags.writeable = False
         self._a_ub = a
 
         upper = np.full(n_vars, np.inf)
@@ -350,6 +353,7 @@ class FixedLevelLPCache:
             for s in range(S):
                 r = K * N + N + k * S + s
                 a[r, (k * S + s) * N:(k * S + s) * N + N] = 1.0
+        a.flags.writeable = False
         self._a_ub = a
 
         upper = np.full(n_vars, np.inf)

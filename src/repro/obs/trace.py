@@ -30,7 +30,11 @@ __all__ = [
 #: * ``"cold"``  — enabled but no prior state existed (first slot);
 #: * ``"hit"``   — a prior state was offered and the solver used it;
 #: * ``"miss"``  — a prior state was offered but rejected as stale
-#:   (or the backend has no warm-start path, e.g. HiGHS).
+#:   (or the backend has no warm-start path).  The HiGHS LP backend
+#:   emits no state, so it stays ``"cold"``: it reuses a persistent
+#:   model per formulation cache but clears the solver before every
+#:   run on purpose, because a kept basis returns a different vertex
+#:   on the degenerate slot LPs (see :func:`repro.solvers.solve_lp`).
 WARM_OUTCOMES = ("off", "cold", "hit", "miss")
 
 

@@ -7,7 +7,8 @@ AIMMS).  This package provides the equivalent machinery from scratch:
 * :mod:`repro.solvers.simplex` — a dense two-phase primal simplex LP
   solver (no external dependencies);
 * :mod:`repro.solvers.linprog` — a unified LP front-end that can route
-  to the own simplex or scipy's HiGHS;
+  to the own simplex, the own interior-point method or HiGHS, which runs
+  on a persistent model per formulation cache (``solvers/_highs.py``);
 * :mod:`repro.solvers.branch_bound` — a best-first branch-and-bound MILP
   solver built on LP relaxations;
 * :mod:`repro.solvers.penalty` — a quadratic-penalty + SLSQP nonlinear
