@@ -377,7 +377,10 @@ def _streaming_ingest(request: ScenarioRequest) -> ScenarioResult:
         ),
         default=0.0,
     )
-    plan_stats = collector.timers.get("stream.plan_slot")
+    def phase_total(name: str) -> float:
+        stats = collector.timers.get(name)
+        return stats.total if stats else 0.0
+
     ticks = slots * ticks_per_slot
     return ScenarioResult(
         seed=seed,
@@ -406,7 +409,8 @@ def _streaming_ingest(request: ScenarioRequest) -> ScenarioResult:
         timing=_timing_section(
             timing,
             per_phase_s={
-                "plan_slot": plan_stats.total if plan_stats else 0.0,
+                phase: phase_total(f"stream.{phase}")
+                for phase in ("margin", "repair", "plan_slot", "score")
             },
             ratios={
                 "resolve_reduction": (

@@ -14,7 +14,7 @@ so they live here rather than on :class:`repro.core.request.RequestClass`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Any, Iterator, Tuple
 
 import numpy as np
 
@@ -57,11 +57,11 @@ class DataCenter:
     service_rates:
         Shape ``(K,)``; ``service_rates[k]`` is ``mu_{k,l}``, the rate at
         which one full server processes type-``k`` requests (requests per
-        time unit at capacity 1).
+        time unit at capacity 1).  Stored as a read-only copy.
     energy_per_request:
         Shape ``(K,)``; ``energy_per_request[k]`` is ``P_{k,l}`` in kWh
         per request (paper Eq. 2, calibrated from Google's ~0.0003 kWh
-        per web search).
+        per web search).  Stored as a read-only copy.
     server_capacity:
         ``C_l``, normalized capacity of each server (default 1.0).
     pue:
@@ -106,8 +106,22 @@ class DataCenter:
         if self.pue < 1.0:
             raise ValueError(f"pue must be >= 1.0, got {self.pue}")
         check_nonnegative(self.idle_power_kw, "idle_power_kw")
-        object.__setattr__(self, "service_rates", rates)
-        object.__setattr__(self, "energy_per_request", energy)
+        # Own read-only copies: a topology derives cached fleet constants
+        # from these, so the caller's arrays must not alias them.
+        for name, values in (("service_rates", rates),
+                             ("energy_per_request", energy)):
+            values = values.copy(order="K")
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        # Rebuild through the constructor so an unpickled copy keeps the
+        # read-only arrays.
+        return (DataCenter, (
+            self.name, self.num_servers, self.service_rates,
+            self.energy_per_request, self.server_capacity, self.pue,
+            self.idle_power_kw,
+        ))
 
     @property
     def num_request_classes(self) -> int:

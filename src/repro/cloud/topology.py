@@ -4,16 +4,23 @@
 optimizer, the baselines, and the slotted simulator.  It validates that
 all components agree on the number of request classes and provides the
 index bookkeeping (``k``, ``s``, ``i``, ``l`` in the paper's notation).
+
+A topology is immutable: it keeps read-only copies of its arrays, and
+derives each fleet constant the per-slot and per-tick paths need (server
+offsets, the server-to-data-center map, per-server service rates, the
+transfer and energy models) once per instance, on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence, Tuple
+from functools import cached_property
+from typing import Any, Iterator, Sequence, Tuple
 
 import numpy as np
 
 from repro.cloud.datacenter import DataCenter
+from repro.cloud.energy import EnergyModel
 from repro.cloud.frontend import FrontEnd
 from repro.cloud.transfer import TransferModel
 from repro.core.request import RequestClass
@@ -22,6 +29,11 @@ from repro.utils.rng import as_generator
 from repro.utils.validation import check_nonnegative
 
 __all__ = ["CloudTopology", "random_topology"]
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
 
 
 @dataclass(frozen=True)
@@ -37,7 +49,8 @@ class CloudTopology:
     datacenters:
         The ``L`` data centers, in index order.
     distances:
-        ``(S, L)`` matrix of front-end-to-data-center distances in miles.
+        ``(S, L)`` matrix of front-end-to-data-center distances in miles,
+        stored as a read-only copy of the caller's array.
     """
 
     request_classes: Tuple[RequestClass, ...]
@@ -59,7 +72,7 @@ class CloudTopology:
         expected = (len(self.frontends), len(self.datacenters))
         if dist.shape != expected:
             raise ValueError(f"distances must have shape {expected}, got {dist.shape}")
-        object.__setattr__(self, "distances", dist)
+        object.__setattr__(self, "distances", _read_only(dist.copy(order="K")))
         k = len(self.request_classes)
         for dc in self.datacenters:
             if dc.num_request_classes != k:
@@ -67,6 +80,54 @@ class CloudTopology:
                     f"data center {dc.name!r} is configured for "
                     f"{dc.num_request_classes} request classes, expected {k}"
                 )
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        # Pickle the fields only: the copy re-validates and derives its
+        # own read-only caches (a sim.parallel worker gets a topology
+        # indistinguishable from the parent's).
+        return (CloudTopology, (self.request_classes, self.frontends,
+                                self.datacenters, self.distances))
+
+    # --------------------------------------------------- per-topology cache
+
+    @cached_property
+    def _server_offsets(self) -> np.ndarray:
+        return _read_only(
+            np.concatenate([[0], np.cumsum(self.servers_per_datacenter)])
+        )
+
+    @cached_property
+    def _dc_of_server(self) -> np.ndarray:
+        """``(N,)`` data-center index of each flat server."""
+        return _read_only(np.repeat(
+            np.arange(self.num_datacenters), self.servers_per_datacenter
+        ))
+
+    @cached_property
+    def _server_service_rates(self) -> np.ndarray:
+        """``(K, N)`` full-capacity service rates ``C_l * mu_{k,l}``."""
+        dc_idx = self._dc_of_server
+        return _read_only(
+            self.service_rates[:, dc_idx]
+            * self.server_capacities[dc_idx][None, :]
+        )
+
+    @cached_property
+    def _transfer_model(self) -> TransferModel:
+        return TransferModel(self.transfer_unit_costs, self.distances)
+
+    @cached_property
+    def _transfer_cost(self) -> np.ndarray:
+        """``(K, S, L)`` dollars to move one type-``k`` request s -> l."""
+        return _read_only(self._transfer_model.per_request_cost())
+
+    @cached_property
+    def _energy_model(self) -> EnergyModel:
+        return EnergyModel(self.datacenters)
+
+    @cached_property
+    def _pue_energy_model(self) -> EnergyModel:
+        return EnergyModel(self.datacenters, apply_pue=True)
 
     # ---------------------------------------------------------------- sizes
 
@@ -93,7 +154,7 @@ class CloudTopology:
     @property
     def num_servers(self) -> int:
         """Total server count across data centers."""
-        return int(self.servers_per_datacenter.sum())
+        return int(self._server_offsets[-1])
 
     # ------------------------------------------------------------- matrices
 
@@ -118,8 +179,8 @@ class CloudTopology:
         return np.array([rc.transfer_unit_cost for rc in self.request_classes])
 
     def transfer_model(self) -> TransferModel:
-        """Build the :class:`TransferModel` for this topology."""
-        return TransferModel(self.transfer_unit_costs, self.distances)
+        """The :class:`TransferModel` for this topology (built once)."""
+        return self._transfer_model
 
     # ----------------------------------------------------------- iteration
 
@@ -130,8 +191,11 @@ class CloudTopology:
                 yield l, i
 
     def server_offsets(self) -> np.ndarray:
-        """``(L+1,)`` prefix offsets for flattening (l, i) → flat index."""
-        return np.concatenate([[0], np.cumsum(self.servers_per_datacenter)])
+        """``(L+1,)`` prefix offsets for flattening (l, i) → flat index.
+
+        Cached per topology and read-only; copy before mutating.
+        """
+        return self._server_offsets
 
     def flat_server_index(self, l: int, i: int) -> int:
         """Flatten data-center-local server index to a global index."""

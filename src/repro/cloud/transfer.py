@@ -36,12 +36,18 @@ class TransferModel:
     """
 
     def __init__(self, unit_costs: ArrayLike, distances: ArrayLike) -> None:
-        self._unit_costs = check_nonnegative(unit_costs, "unit_costs")
-        self._distances = check_nonnegative(distances, "distances")
+        # Copies: the per-request cost below is derived once from them.
+        unit_costs = check_nonnegative(unit_costs, "unit_costs")
+        distances = check_nonnegative(distances, "distances")
+        self._unit_costs = unit_costs.copy(order="K")
+        self._distances = distances.copy(order="K")
         if self._unit_costs.ndim != 1:
             raise ValueError("unit_costs must be 1-D of shape (K,)")
         if self._distances.ndim != 2:
             raise ValueError("distances must be 2-D of shape (S, L)")
+        self._per_request = (
+            self._unit_costs[:, None, None] * self._distances[None, :, :]
+        )
 
     @property
     def num_classes(self) -> int:
@@ -70,7 +76,7 @@ class TransferModel:
 
     def per_request_cost(self) -> np.ndarray:
         """``(K, S, L)`` matrix: $ to transfer one type-``k`` request s→l."""
-        return self._unit_costs[:, None, None] * self._distances[None, :, :]
+        return self._per_request.copy(order="K")
 
     def slot_cost(self, rates: np.ndarray, slot_duration: float) -> float:
         """Total transfer dollars for one slot.
@@ -87,4 +93,4 @@ class TransferModel:
         expected = (self.num_classes, self.num_frontends, self.num_datacenters)
         if rates.shape != expected:
             raise ValueError(f"rates must have shape {expected}, got {rates.shape}")
-        return float(np.sum(self.per_request_cost() * rates) * slot_duration)
+        return float(np.sum(self._per_request * rates) * slot_duration)

@@ -21,9 +21,9 @@ from typing import Optional
 import numpy as np
 
 from repro.cloud.topology import CloudTopology
-from repro.core.formulation import DEADLINE_SAFETY
 from repro.core.plan import DispatchPlan
 from repro.queueing.mm1 import mm1_max_rate
+from repro.solvers.tolerances import DEADLINE_SAFETY
 from repro.utils.validation import check_nonnegative
 
 __all__ = ["BalancedDispatcher", "EvenSplitDispatcher"]
@@ -168,14 +168,11 @@ class EvenSplitDispatcher:
         """Build the even-split plan (prices are ignored by design)."""
         topo = self.topology
         arrivals = check_nonnegative(arrivals, "arrivals")
-        K, S, L = topo.num_classes, topo.num_frontends, topo.num_datacenters
+        K, S = topo.num_classes, topo.num_frontends
         if arrivals.shape != (K, S):
             raise ValueError(f"arrivals must have shape {(K, S)}")
         N = topo.num_servers
-        offsets = topo.server_offsets()
-        dc_of = np.empty(N, dtype=int)
-        for l in range(L):
-            dc_of[offsets[l]:offsets[l + 1]] = l
+        dc_of = topo._dc_of_server
 
         rates = np.zeros((K, S, N))
         shares = np.full((K, N), self._share)

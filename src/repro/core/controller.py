@@ -180,8 +180,14 @@ class SlottedController:
 
 
 def _cap_to_arrivals(plan: DispatchPlan, arrivals: np.ndarray) -> DispatchPlan:
-    """Scale down per-(k,s) dispatch that exceeds the true arrivals."""
-    dispatched = plan.rates.sum(axis=2)  # (K, S)
+    """Scale down per-(k,s) dispatch that exceeds the true arrivals.
+
+    Returns ``plan`` itself when no row exceeds them (scaling by 1.0
+    would change nothing), keeping its memoized reductions.
+    """
+    dispatched = plan._source_rates  # (K, S)
+    if not np.any(dispatched > arrivals):
+        return plan
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.where(
             dispatched > arrivals, arrivals / np.maximum(dispatched, 1e-300), 1.0

@@ -36,6 +36,7 @@ import numpy as np
 from repro.cloud.topology import CloudTopology
 from repro.core.plan import DispatchPlan
 from repro.solvers.base import LinearProgram, MixedIntegerProgram
+from repro.solvers.tolerances import DEADLINE_SAFETY
 from repro.utils.validation import check_nonnegative, check_positive
 
 __all__ = [
@@ -49,14 +50,6 @@ __all__ = [
 ]
 
 Decoder = Callable[[np.ndarray], DispatchPlan]
-
-#: Relative shrink applied to every deadline inside the solvers.  The LP
-#: optimum often sits exactly on a delay constraint; without a margin,
-#: re-computing ``R = 1/(phi*C*mu - lambda)`` from the solution in floating
-#: point can land infinitesimally *past* the step-downward TUF's cliff and
-#: forfeit the whole level's revenue.  1e-6 is far above solver feasibility
-#: tolerances and far below any experiment's parameter resolution.
-DEADLINE_SAFETY = 1e-6
 
 
 @dataclass(frozen=True)
@@ -137,7 +130,7 @@ class SlotInputs:
         if self.apply_pue:
             energy = energy * np.array([dc.pue for dc in topo.datacenters])[None, :]
         processing = energy * self.prices[None, :]  # (K, L)
-        transfer = topo.transfer_model().per_request_cost()  # (K, S, L)
+        transfer = topo._transfer_cost  # (K, S, L)
         return processing[:, None, :] + transfer
 
     def lambda_max(self) -> np.ndarray:
@@ -323,10 +316,7 @@ class FixedLevelLPCache:
         topo = self.topology
         K, S = topo.num_classes, topo.num_frontends
         N = topo.num_servers
-        dc_of = np.empty(N, dtype=int)
-        offsets = topo.server_offsets()
-        for l, _dc in enumerate(topo.datacenters):
-            dc_of[offsets[l]:offsets[l + 1]] = l
+        dc_of = topo._dc_of_server
         mu = topo.service_rates  # (K, L)
         cap = topo.server_capacities  # (L,)
         n_lam = K * S * N

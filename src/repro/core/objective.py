@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cloud.energy import EnergyModel
 from repro.core.plan import DispatchPlan
 from repro.solvers.tolerances import FEASIBILITY_TOL
 from repro.utils.validation import check_nonnegative, check_positive
@@ -106,33 +105,38 @@ def evaluate_plan(
         raise ValueError(
             f"prices must have shape {(topo.num_datacenters,)}, got {prices.shape}"
         )
-    dispatched_per_source = plan.rates.sum(axis=2)  # (K, S)
+    dispatched_per_source = plan._source_rates  # (K, S)
     excess = dispatched_per_source - arrivals
-    if np.any(excess > FEASIBILITY_TOL * np.maximum(1.0, arrivals)):
+    if (excess > FEASIBILITY_TOL * np.maximum(1.0, arrivals)).any():
         raise ValueError("plan dispatches more than the offered arrivals")
 
     # Revenue from realized delays: utility is per request, earned at the
     # expected delay of the (class, server) queue actually serving it.
+    # Non-finite delays earn nothing: inf is an overloaded queue, nan a
+    # load too small to have a delay (at most the plan's load tolerance).
     delays = plan.delays()  # (K, N), nan where no load
     loads = plan.server_loads()  # (K, N)
+    loaded = loads > 0
+    finite = np.isfinite(delays)
     revenue = 0.0
     for k, rc in enumerate(topo.request_classes):
-        row_delays = delays[k]
-        row_loads = loads[k]
-        loaded = row_loads > 0
-        if not np.any(loaded):
+        served = loaded[k]
+        if not served.any():
             continue
-        # inf delay (overload) earns zero utility via the TUF deadline cut.
-        util = rc.tuf.utility(np.nan_to_num(row_delays[loaded], nan=0.0,
-                                            posinf=np.inf))
-        util = np.where(np.isfinite(row_delays[loaded]), util, 0.0)
-        revenue += float(np.sum(util * row_loads[loaded]) * slot_duration)
+        row_delays = delays[k, served]
+        earning = finite[k, served]
+        if earning.all():
+            util = rc.tuf.utility(row_delays)
+        else:
+            util = np.zeros(row_delays.shape)
+            util[earning] = rc.tuf.utility(row_delays[earning])
+        revenue += float((util * loads[k, served]).sum() * slot_duration)
 
-    energy_model = EnergyModel(topo.datacenters, apply_pue=apply_pue)
+    energy_model = topo._pue_energy_model if apply_pue else topo._energy_model
     dc_loads = plan.dc_loads()  # (K, L)
     energy_cost = energy_model.slot_cost(dc_loads, prices, slot_duration)
     energy_kwh = energy_model.slot_energy_kwh(dc_loads, slot_duration)
-    transfer_cost = topo.transfer_model().slot_cost(plan.dc_rates(), slot_duration)
+    transfer_cost = topo._transfer_model.slot_cost(plan.dc_rates(), slot_duration)
 
     # Idle power of powered-on servers (an extension; 0 kW by default
     # reproduces the paper's per-request-only accounting).  Idle energy

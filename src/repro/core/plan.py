@@ -6,17 +6,29 @@ shares ``phi_{k,i,l}``.  Servers are flattened to a global index ``n``
 (use :meth:`repro.cloud.topology.CloudTopology.flat_server_index`);
 since servers within a data center are homogeneous, aggregated solvers
 expand their symmetric solutions over this flat axis.
+
+Plans are immutable: the reductions callers ask for repeatedly (loads,
+per-DC rates, delays) are computed once per plan and returned as
+read-only arrays, and the fleet constants come from the topology's own
+per-instance cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Any, Tuple
 
 import numpy as np
 
-from repro.cloud.topology import CloudTopology
+from repro.cloud.topology import CloudTopology, _read_only
 from repro.queueing.mm1 import mm1_mean_delay
-from repro.solvers.tolerances import FEASIBILITY_TOL, ZERO_TOL
+from repro.solvers.tolerances import (
+    DEADLINE_SAFETY,
+    FEASIBILITY_TOL,
+    STRICT_TOL,
+    ZERO_TOL,
+)
 from repro.utils.validation import check_nonnegative
 
 __all__ = ["DispatchPlan"]
@@ -59,43 +71,98 @@ class DispatchPlan:
         object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "shares", shares)
 
-    # ------------------------------------------------------------ geometry
+    def __reduce__(self) -> Tuple[Any, ...]:
+        # Pickle the fields only; the copy derives its own caches.
+        return (DispatchPlan, (self.topology, self.rates, self.shares))
 
-    def _dc_of_server(self) -> np.ndarray:
-        """``(N,)`` data-center index of each flat server."""
-        topo = self.topology
-        out = np.empty(topo.num_servers, dtype=int)
-        for l, dc in enumerate(topo.datacenters):
-            offset = topo.server_offsets()[l]
-            out[offset:offset + dc.num_servers] = l
-        return out
+    # ------------------------------------------------------- per-plan cache
+    #
+    # A plan is immutable, so every reduction of it is computed once, on
+    # first use, and handed out read-only.  The streaming loop scores and
+    # margins the same standing plan tick after tick.
 
-    def server_service_rates(self) -> np.ndarray:
-        """``(K, N)`` full-capacity service rates ``C_l * mu_{k,l}``; float64."""
-        topo = self.topology
-        dc_idx = self._dc_of_server()
-        mu = topo.service_rates  # (K, L)
-        capacity = topo.server_capacities  # (L,)
-        return mu[:, dc_idx] * capacity[dc_idx][None, :]
+    @cached_property
+    def _server_loads(self) -> np.ndarray:
+        return _read_only(self.rates.sum(axis=1))
 
-    # ------------------------------------------------------------- loads
+    @cached_property
+    def _source_rates(self) -> np.ndarray:
+        """``(K, S)`` total rate each (class, front-end) row dispatches."""
+        return _read_only(self.rates.sum(axis=2))
 
-    def server_loads(self) -> np.ndarray:
-        """``(K, N)`` aggregate load per class per server (summed over s); float64."""
-        return self.rates.sum(axis=1)
-
-    def dc_rates(self) -> np.ndarray:
-        """``(K, S, L)`` rates aggregated to data-center granularity; float64."""
+    @cached_property
+    def _dc_rates(self) -> np.ndarray:
         topo = self.topology
         out = np.zeros((topo.num_classes, topo.num_frontends, topo.num_datacenters))
         offsets = topo.server_offsets()
         for l in range(topo.num_datacenters):
             out[:, :, l] = self.rates[:, :, offsets[l]:offsets[l + 1]].sum(axis=2)
-        return out
+        return _read_only(out)
+
+    @cached_property
+    def _effective_rates(self) -> np.ndarray:
+        """``(K, N)`` effective service rates ``phi * C_l * mu_{k,l}``."""
+        return _read_only(self.shares * self.topology._server_service_rates)
+
+    def _safe_rates(self, deadlines: np.ndarray) -> np.ndarray:
+        """``(K, N)`` deadline-safe max rate of each VM under the plan's
+        CPU shares: ``max(0, share * C * mu - 1/D)``."""
+        return np.clip(self._effective_rates - 1.0 / deadlines[:, None], 0.0, None)
+
+    @cached_property
+    def _deadline_safe_rates(self) -> np.ndarray:
+        """:meth:`_safe_rates` at every class deadline shrunk by
+        ``DEADLINE_SAFETY`` (the optimizer's own constraint)."""
+        deadlines = np.array(
+            [rc.deadline for rc in self.topology.request_classes]
+        ) * (1.0 - DEADLINE_SAFETY)
+        return _read_only(self._safe_rates(deadlines))
+
+    @cached_property
+    def _delays(self) -> np.ndarray:
+        loads = self._server_loads
+        delays = mm1_mean_delay(self._effective_rates, loads)
+        return _read_only(np.where(loads > _LOAD_TOL, delays, np.nan))
+
+    @cached_property
+    def _route_weights(self) -> np.ndarray:
+        """``(K, S, N)`` per-server split of each (class, front-end) row;
+        rows dispatching at most ``STRICT_TOL`` have no route (zeros)."""
+        totals = self._source_rates
+        with np.errstate(divide="ignore", invalid="ignore"):
+            weights = np.where(
+                totals[:, :, None] > STRICT_TOL,
+                self.rates / np.maximum(totals, STRICT_TOL)[:, :, None],
+                0.0,
+            )
+        return _read_only(weights)
+
+    # ------------------------------------------------------------ geometry
+
+    def _dc_of_server(self) -> np.ndarray:
+        """``(N,)`` data-center index of each flat server (read-only)."""
+        return self.topology._dc_of_server
+
+    def server_service_rates(self) -> np.ndarray:
+        """``(K, N)`` full-capacity service rates ``C_l * mu_{k,l}``;
+        float64, cached per topology and read-only."""
+        return self.topology._server_service_rates
+
+    # ------------------------------------------------------------- loads
+
+    def server_loads(self) -> np.ndarray:
+        """``(K, N)`` aggregate load per class per server (summed over s);
+        float64, cached and read-only."""
+        return self._server_loads
+
+    def dc_rates(self) -> np.ndarray:
+        """``(K, S, L)`` rates aggregated to data-center granularity;
+        float64, cached and read-only."""
+        return self._dc_rates
 
     def dc_loads(self) -> np.ndarray:
         """``(K, L)`` aggregate load per class per data center; float64."""
-        return self.dc_rates().sum(axis=1)
+        return self._dc_rates.sum(axis=1)
 
     def served_rates(self) -> np.ndarray:
         """``(K,)`` total dispatched rate per class; float64."""
@@ -107,12 +174,10 @@ class DispatchPlan:
         """``(K, N)`` expected M/M/1 delays (Eq. 1); ``inf`` if unstable.
 
         Entries for (class, server) pairs with zero load are ``nan`` —
-        no request experiences them.  dtype float64.
+        no request experiences them.  dtype float64, cached and
+        read-only.
         """
-        loads = self.server_loads()
-        effective = self.shares * self.server_service_rates()
-        delays = mm1_mean_delay(effective, loads)
-        return np.where(loads > _LOAD_TOL, delays, np.nan)
+        return self._delays
 
     # ----------------------------------------------------------- servers
 
@@ -123,12 +188,8 @@ class DispatchPlan:
     def powered_on_per_dc(self) -> np.ndarray:
         """``(L,)`` number of powered-on servers per data center; dtype int."""
         topo = self.topology
-        mask = self.active_server_mask()
-        offsets = topo.server_offsets()
-        return np.array([
-            int(mask[offsets[l]:offsets[l + 1]].sum())
-            for l in range(topo.num_datacenters)
-        ])
+        return np.bincount(topo._dc_of_server[self.active_server_mask()],
+                           minlength=topo.num_datacenters)
 
     # ------------------------------------------------------------ algebra
 

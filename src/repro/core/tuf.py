@@ -112,6 +112,8 @@ class StepDownwardTUF(TimeUtilityFunction):
             )
         self._values = values_arr
         self._deadlines = deadlines_arr
+        # Level utilities indexed by searchsorted, with 0 past the last.
+        self._padded = np.concatenate([values_arr, [0.0]])
 
     @property
     def values(self) -> np.ndarray:
@@ -149,10 +151,9 @@ class StepDownwardTUF(TimeUtilityFunction):
         # level index q such that D_{q-1} < delay <= D_q; past the final
         # deadline the request earns nothing.
         idx = np.searchsorted(self._deadlines, delay_arr, side="left")
-        padded = np.concatenate([self._values, [0.0]])
-        out = np.where(delay_arr <= 0.0, self._values[0], padded[idx])
+        out = np.where(delay_arr <= 0.0, self._values[0], self._padded[idx])
         out = np.where(delay_arr > self._deadlines[-1], 0.0, out)
-        if np.isscalar(delay) or np.ndim(delay) == 0:
+        if delay_arr.ndim == 0:
             return float(out)
         return out
 

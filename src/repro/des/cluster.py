@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.cloud.energy import EnergyModel
 from repro.des.engine import Engine
 
 if TYPE_CHECKING:  # avoid the core->queueing->des->core import cycle
@@ -176,10 +175,9 @@ class ClusterSimulation:
             key: generators[i].generated
             for i, key in enumerate(vms.keys())
         }
-        energy_model = EnergyModel(topo.datacenters)
-        energy_per_req = energy_model.per_request_cost(prices)  # (K, L)
-        transfer_per_req = topo.transfer_model().per_request_cost()  # (K,S,L)
-        dc_of = plan._dc_of_server()
+        energy_per_req = topo._energy_model.per_request_cost(prices)  # (K, L)
+        transfer_per_req = topo._transfer_cost  # (K, S, L)
+        dc_of = topo._dc_of_server
         energy_cost = 0.0
         transfer_cost = 0.0
         rates = plan.rates  # (K, S, N)

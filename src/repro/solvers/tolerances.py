@@ -29,6 +29,7 @@ __all__ = [
     "ZERO_TOL",
     "PIVOT_TOL",
     "STRICT_TOL",
+    "DEADLINE_SAFETY",
 ]
 
 #: Constraint-satisfaction tolerance: the scaled violation up to which a
@@ -62,3 +63,13 @@ PIVOT_TOL = 1e-10
 #: B&B pruning slack, greedy-search improvement threshold.  Close to
 #: float64 round-off at the library's typical problem scales.
 STRICT_TOL = 1e-12
+
+#: Relative shrink applied to every deadline inside the solvers (and to
+#: the deadline-safe rates admission and plan repair derive from them).
+#: The LP optimum often sits exactly on a delay constraint; without a
+#: margin, re-computing ``R = 1/(phi*C*mu - lambda)`` from the solution in
+#: floating point can land infinitesimally *past* the step-downward TUF's
+#: cliff and forfeit the whole level's revenue.  1e-6 is far above solver
+#: feasibility tolerances and far below any experiment's parameter
+#: resolution.
+DEADLINE_SAFETY = 1e-6

@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.cloud.topology import CloudTopology
-from repro.core.formulation import DEADLINE_SAFETY
+from repro.solvers.tolerances import DEADLINE_SAFETY
 
 __all__ = ["deadline_safe_capacity", "shed_to_capacity"]
 

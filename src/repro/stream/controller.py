@@ -15,6 +15,12 @@ by :class:`~repro.stream.events.TraceEventSource`.  Each tick it
    duration, so per-tick outcomes sum exactly to per-slot outcomes,
 6. feeds the observation into the estimator bank.
 
+Each stage runs under a collector timer — ``stream.margin``,
+``stream.repair``, ``stream.plan_slot`` and ``stream.score`` (the
+arrival cap plus :func:`~repro.core.objective.evaluate_plan`) — so a
+bench record or trace shows where a tick's time went; under the default
+``NULL_COLLECTOR`` each timer is a shared no-op.
+
 Per-slot aggregates are emitted as the same
 :class:`~repro.core.controller.SlotRecord` the slotted controller
 yields, so downstream tooling (ledgers, tables, traces) works
@@ -236,6 +242,10 @@ class StreamingController:
             else:
                 admitted = estimate
 
+            sla_margin = 1.0
+            if plan is not None:
+                with collector.timer("stream.margin"):
+                    sla_margin = plan_margin(plan, admitted)
             ctx = ControlContext(
                 tick=batch.tick,
                 slot=batch.slot,
@@ -249,16 +259,14 @@ class StreamingController:
                     self._deviation(admitted, planned_for)
                     if planned_for is not None else float("inf")
                 ),
-                sla_margin=(
-                    plan_margin(plan, admitted)
-                    if plan is not None else 1.0
-                ),
+                sla_margin=sla_margin,
             )
             action = self.policy.decide(ctx)
             drift_pending = False
 
             if action.kind == "repair" and plan is not None:
-                outcome = repair_plan(plan, admitted)
+                with collector.timer("stream.repair"):
+                    outcome = repair_plan(plan, admitted)
                 if outcome.coverage >= self.repair_margin:
                     plan = outcome.plan
                     planned_for = admitted
@@ -281,11 +289,12 @@ class StreamingController:
                 full_solves += 1
                 collector.increment("stream.resolves")
 
-            scored = _cap_to_arrivals(plan, batch.true_rates)
-            tick_outcome = evaluate_plan(
-                scored, batch.true_rates, current_prices,
-                slot_duration=batch.duration, apply_pue=self.apply_pue,
-            )
+            with collector.timer("stream.score"):
+                scored = _cap_to_arrivals(plan, batch.true_rates)
+                tick_outcome = evaluate_plan(
+                    scored, batch.true_rates, current_prices,
+                    slot_duration=batch.duration, apply_pue=self.apply_pue,
+                )
             slot_outcomes.append(tick_outcome)
             slot_truth.append(batch.true_rates)
 

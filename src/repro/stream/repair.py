@@ -18,38 +18,35 @@ deadline-safe rates under a hypothetical arrival grid — the quantity
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.formulation import DEADLINE_SAFETY
 from repro.core.plan import DispatchPlan
+from repro.solvers.tolerances import STRICT_TOL
 
 __all__ = ["RepairOutcome", "plan_margin", "repair_plan"]
 
-#: Loads below this are treated as "no route" / "unloaded".
-_LOAD_TOL = 1e-12
+#: Loads below this are treated as "no route" / "unloaded" (the same
+#: threshold the plan's memoized route weights use).
+_LOAD_TOL = STRICT_TOL
 
 
-def _effective_deadlines(
+def _routes(
     plan: DispatchPlan, deadlines: Optional[np.ndarray]
-) -> np.ndarray:
-    if deadlines is not None:
-        return np.asarray(deadlines, dtype=float)
-    return np.array(
-        [rc.deadline for rc in plan.topology.request_classes]
-    ) * (1.0 - DEADLINE_SAFETY)
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The standing plan's ``(K, S, N)`` route weights and ``(K, N)``
+    deadline-safe max rates ``max(0, share * C * mu - 1/D)``.
 
-
-def _safe_server_rates(
-    plan: DispatchPlan, deadlines: np.ndarray
-) -> np.ndarray:
-    """``(K, N)`` deadline-safe max rate of each server under the plan's
-    CPU shares: ``max(0, share * C * mu - 1/D)``."""
-    effective = plan.shares * plan.server_service_rates()
-    return np.asarray(np.clip(
-        effective - 1.0 / deadlines[:, None], 0.0, None
-    ))
+    Both are per-plan constants, memoized on the plan, so
+    :func:`plan_margin` and :func:`repair_plan` on the same standing
+    plan derive them once (explicit ``deadlines`` redo the rates).
+    """
+    if deadlines is None:
+        safe = plan._deadline_safe_rates
+    else:
+        safe = plan._safe_rates(np.asarray(deadlines, dtype=float))
+    return plan._route_weights, safe
 
 
 @dataclass(frozen=True)
@@ -84,21 +81,12 @@ def repair_plan(
         raise ValueError(
             f"target must have shape {plan.rates.shape[:2]}"
         )
-    deadlines = _effective_deadlines(plan, deadlines)
-
-    row_totals = plan.rates.sum(axis=2)  # (K, S)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        weights = np.where(
-            row_totals[:, :, None] > _LOAD_TOL,
-            plan.rates / np.maximum(row_totals, _LOAD_TOL)[:, :, None],
-            0.0,
-        )
+    weights, safe = _routes(plan, deadlines)
     rates = target[:, :, None] * weights  # (K, S, N)
 
     # Cap each (class, server) load at its deadline-safe rate by
     # uniformly shrinking that server's share of every front-end row.
     loads = rates.sum(axis=1)  # (K, N)
-    safe = _safe_server_rates(plan, deadlines)
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.where(
             loads > safe, safe / np.maximum(loads, _LOAD_TOL), 1.0
@@ -133,16 +121,8 @@ def plan_margin(
     :func:`repair_plan`), not through this signal.
     """
     target = np.asarray(target, dtype=float)
-    deadlines = _effective_deadlines(plan, deadlines)
-    row_totals = plan.rates.sum(axis=2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        weights = np.where(
-            row_totals[:, :, None] > _LOAD_TOL,
-            plan.rates / np.maximum(row_totals, _LOAD_TOL)[:, :, None],
-            0.0,
-        )
+    weights, safe = _routes(plan, deadlines)
     loads = (target[:, :, None] * weights).sum(axis=1)  # (K, N)
-    safe = _safe_server_rates(plan, deadlines)
     loaded = loads > _LOAD_TOL
     if not bool(loaded.any()):
         return 1.0

@@ -24,7 +24,7 @@ __all__ = [
 def check_finite(value, name: str) -> np.ndarray:
     """Return ``value`` as an ndarray, raising ``ValueError`` on NaN/inf."""
     arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite, got {value!r}")
     return arr
 
@@ -32,7 +32,7 @@ def check_finite(value, name: str) -> np.ndarray:
 def check_nonnegative(value, name: str) -> np.ndarray:
     """Return ``value`` as an ndarray, raising if any entry is negative."""
     arr = check_finite(value, name)
-    if np.any(arr < 0):
+    if (arr < 0).any():
         raise ValueError(f"{name} must be non-negative, got {value!r}")
     return arr
 
@@ -40,7 +40,7 @@ def check_nonnegative(value, name: str) -> np.ndarray:
 def check_positive(value, name: str) -> np.ndarray:
     """Return ``value`` as an ndarray, raising unless all entries are > 0."""
     arr = check_finite(value, name)
-    if np.any(arr <= 0):
+    if (arr <= 0).any():
         raise ValueError(f"{name} must be strictly positive, got {value!r}")
     return arr
 

@@ -335,6 +335,10 @@ class TestScenarioDeterminism:
         assert ratios["resolve_reduction"] >= 1.0
         assert ratios["profit_ratio"] == pytest.approx(1.0, rel=1e-6)
         assert record["timing"]["throughput"]["ticks_per_s"] > 0
+        # Every timed tick stage is attributed, not just the solves.
+        phases = record["timing"]["per_phase_s"]
+        assert set(phases) == {"margin", "repair", "plan_slot", "score"}
+        assert phases["score"] > 0 and phases["plan_slot"] > 0
 
 
 class TestMedianDedupe:

@@ -275,6 +275,23 @@ class TestPoliciesAndPlumbing:
         assert collector.counters["stream.ticks"] == 12
         assert collector.counters["stream.resolves"] == result.full_solves
         assert "stream.estimator_rel_error" in collector.histograms
+        # Tick stages are timed: every tick is scored, every tick with a
+        # standing plan is margined (all but the first).
+        timers = collector.timers
+        assert timers["stream.score"].count == 12
+        assert timers["stream.margin"].count == 11
+        assert timers["stream.plan_slot"].count == result.full_solves
+
+    def test_repairs_are_timed(self, section6):
+        exp = section6
+        collector = InMemoryCollector()
+        result = StreamingController(
+            exp.optimizer(), exp.trace, exp.market, DriftTriggered(),
+            ticks_per_slot=6, estimation="online", collector=collector,
+        ).run(num_slots=6)
+        attempts = result.repairs + result.repair_escalations
+        assert attempts > 0
+        assert collector.timers["stream.repair"].count == attempts
 
     def test_online_estimation_runs(self, section6):
         exp = section6
