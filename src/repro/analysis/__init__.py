@@ -1,72 +1,60 @@
-"""Domain-aware static analysis (``reprolint``) for this codebase.
+"""Correctness tooling for this codebase: four tools on one framework.
 
 The paper's profit numbers rest on numerically delicate machinery —
 big-M step-TUF constraints (Eqs. 11-16), M/M/1 stability boundaries
-(Eq. 1), and per-slot re-solves — where a float-equality check, an
-unseeded RNG, or an unpicklable object crossing the process-pool
-boundary corrupts results *silently* instead of crashing.  This package
-is the correctness tooling that keeps those bug classes out of the tree:
+(Eq. 1), and per-slot re-solves — where a float-equality check, a
+loose big-M or an unverified solve corrupts results *silently* instead
+of crashing.  Four tools keep those bug classes out, each with its own
+code space:
 
-* :mod:`repro.analysis.diagnostics` — finding datatypes and text/JSON
-  rendering;
-* :mod:`repro.analysis.registry`    — the rule registry (``Rule`` base
-  class, ``@register``, per-rule ``RP0xx`` codes);
-* :mod:`repro.analysis.rules`       — the domain rules themselves
-  (``RP001``..``RP006``);
-* :mod:`repro.analysis.suppression` — inline ``# reprolint:
-  disable=RP0xx`` handling;
-* :mod:`repro.analysis.runner`      — file walking, parsing, and rule
-  dispatch (``lint_paths`` / ``lint_source``);
-* :mod:`repro.analysis.baseline`    — findings baseline files so
-  pre-existing debt can be frozen without blocking CI on new findings;
-* :mod:`repro.analysis.cli`         — the ``repro lint`` subcommand;
-* :mod:`repro.analysis.model`       — the *formulation auditor*
-  (``repro audit``): static ``MD0xx`` passes over a built slot
-  LP/MILP (big-M tightness, dimensional consistency, matrix
-  diagnostics, feasibility pre-checks);
-* :mod:`repro.analysis.report`      — the shared finding base class,
-  renderers, exit codes, and findings-baseline machinery the whole
-  family builds on;
-* :mod:`repro.analysis.arch`        — the *architecture auditor*
-  (``repro arch``): ``AR0xx`` passes over the import graph (layer
-  contracts, cycles, the ``API_SURFACE.json`` lock, dead code,
-  hot-path purity);
-* :mod:`repro.analysis.check`       — the ``repro check`` umbrella
-  (lint + arch + audit + certify, worst-of exit code).
+* ``repro lint`` (``RP0xx``, :mod:`repro.analysis.rules`) reads the
+  *source*: domain-aware AST rules, with inline ``# reprolint:
+  disable=RP0xx`` suppressions (:mod:`repro.analysis.suppression`) and
+  file walking in :mod:`repro.analysis.runner`;
+* ``repro audit`` (``MD0xx``, :mod:`repro.analysis.model`) reads the
+  *built slot problem*: big-M tightness, units, matrix diagnostics,
+  feasibility pre-checks;
+* ``repro certify`` (``CT0xx``, :mod:`repro.analysis.certify`) reads
+  the *solution*: independently recomputed optimality certificates;
+* ``repro arch`` (``AR0xx``, :mod:`repro.analysis.arch`) reads the
+  *tree*: layer contracts, import cycles, the ``API_SURFACE.json``
+  lock, dead code, hot-path purity.
 
-The AST-lint layer is zero-dependency (stdlib ``ast`` + ``tokenize``),
-in line with the repo's no-new-packages policy; the model subpackage
-needs :mod:`numpy` and the core builders, so it is *not* imported here
-— import :mod:`repro.analysis.model` explicitly (the CLI does so
-lazily), keeping ``repro lint`` numpy-free.
+They share one framework, :mod:`repro.analysis.report` (rule registry
+keyed by code prefix, finding and report types, findings baselines,
+exit codes), and one CLI module, :mod:`repro.analysis.cli`, where
+``repro check`` runs all four with a worst-of exit code.  Importing
+this package registers every rule of every tool; list one tool's rules
+with :func:`repro.analysis.report.rules`.
 """
 
-from repro.analysis.baseline import (
+from repro.analysis import arch as _arch  # noqa: F401  (registration)
+from repro.analysis import certify as _certify  # noqa: F401
+from repro.analysis import model as _model  # noqa: F401
+from repro.analysis import rules as _rules  # noqa: F401
+from repro.analysis.report import (
     Baseline,
+    Finding,
+    Report,
+    Rule,
     apply_baseline,
+    get_rule,
     read_baseline,
+    register,
     write_baseline,
 )
-from repro.analysis.diagnostics import Diagnostic, render_json, render_text
-from repro.analysis.registry import Rule, all_rules, get_rule, register
-from repro.analysis.runner import LintReport, lint_paths, lint_source
-
-# Importing the rules module populates the registry as a side effect.
-from repro.analysis import rules as _rules  # noqa: F401  (registration import)
+from repro.analysis.runner import lint_paths, lint_source
 
 __all__ = [
     "Baseline",
-    "Diagnostic",
-    "apply_baseline",
-    "LintReport",
+    "Finding",
+    "Report",
     "Rule",
-    "all_rules",
+    "apply_baseline",
     "get_rule",
     "lint_paths",
     "lint_source",
     "read_baseline",
     "register",
-    "render_json",
-    "render_text",
     "write_baseline",
 ]

@@ -21,25 +21,18 @@ Rule families:
 * ``AR041``/``AR042`` — hot-path purity inside the bench-proven hot
   modules: scalar per-element loops and loop-invariant allocations.
 
-Importing this package registers every rule; :func:`audit_tree` is
-the library entry point, :mod:`repro.analysis.arch.cli` the gate.
+Importing this package registers every rule in the shared registry
+(:mod:`repro.analysis.report`); :func:`audit_tree` is the library entry
+point, ``repro arch`` (:mod:`repro.analysis.cli`) the gate.
 """
 
-from repro.analysis.arch.audit import ArchReport, audit_tree
+from repro.analysis.arch.audit import ArchContext, audit_tree
 from repro.analysis.arch.contract import (
     DEFAULT_CONTRACT,
     LayerContract,
     default_contract,
 )
 from repro.analysis.arch.graph import build_tree_index, resolve_export
-from repro.analysis.arch.registry import (
-    ArchContext,
-    ArchFinding,
-    ArchRule,
-    all_arch_rules,
-    get_arch_rule,
-    register_arch,
-)
 from repro.analysis.arch.surface import build_api_surface, render_api_surface
 
 # Rule modules register on import; the catalog is complete as soon as
@@ -51,18 +44,12 @@ from repro.analysis.arch import surface as _surface  # noqa: F401
 
 __all__ = [
     "ArchContext",
-    "ArchFinding",
-    "ArchReport",
-    "ArchRule",
     "DEFAULT_CONTRACT",
     "LayerContract",
-    "all_arch_rules",
     "audit_tree",
     "build_api_surface",
     "build_tree_index",
     "default_contract",
-    "get_arch_rule",
-    "register_arch",
     "render_api_surface",
     "resolve_export",
 ]

@@ -19,13 +19,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Sequence, Set, Union
 
+from repro.analysis.arch.audit import ArchContext
 from repro.analysis.arch.graph import ModuleInfo
-from repro.analysis.arch.registry import (
-    ArchContext,
-    ArchFinding,
-    ArchRule,
-    register_arch,
-)
+from repro.analysis.report import Finding, Rule, register
 
 __all__ = ["HotPathPurityRule"]
 
@@ -110,7 +106,7 @@ def _subscript_assigns_by(body: Sequence[ast.stmt], names: Set[str]) -> int:
 class _PurityVisitor(ast.NodeVisitor):
     def __init__(self, info: ModuleInfo) -> None:
         self.info = info
-        self.findings: List[ArchFinding] = []
+        self.findings: List[Finding] = []
         self._loops: List[Set[str]] = []  # names rebound per open loop
 
     # -- loops ----------------------------------------------------------
@@ -129,7 +125,7 @@ class _PurityVisitor(ast.NodeVisitor):
         ):
             line = _subscript_assigns_by(node.body, targets)
             if line:
-                self.findings.append(ArchFinding(
+                self.findings.append(Finding(
                     code="AR041",
                     severity="info",
                     component=(
@@ -161,7 +157,7 @@ class _PurityVisitor(ast.NodeVisitor):
                 free |= _free_names(arg)
             if not (free & rebound):
                 assert isinstance(node.func, ast.Attribute)
-                self.findings.append(ArchFinding(
+                self.findings.append(Finding(
                     code="AR042",
                     severity="info",
                     component=f"alloc[{self.info.name}:{node.lineno}]",
@@ -178,8 +174,8 @@ class _PurityVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-@register_arch
-class HotPathPurityRule(ArchRule):
+@register
+class HotPathPurityRule(Rule):
     code = "AR041"
     name = "hot-path-purity"
     codes = {
@@ -196,7 +192,7 @@ class HotPathPurityRule(ArchRule):
         "fail the gate instead."
     )
 
-    def check(self, ctx: ArchContext) -> Iterator[ArchFinding]:
+    def check(self, ctx: ArchContext) -> Iterator[Finding]:
         for info in ctx.index.modules.values():
             if not ctx.contract.is_hot(info.name):
                 continue

@@ -1,6 +1,6 @@
 """Optimality-certificate verifier (``repro certify``) for solve paths.
 
-Third member of the analysis triad, with its own ``CT0xx`` code space:
+One of the four analysis tools, with its own ``CT0xx`` code space:
 
 * ``repro.analysis`` (``repro lint``, ``RP0xx``) statically checks the
   *source code*;
@@ -20,13 +20,15 @@ Three entry points, mirroring the auditor:
   ``plan_slot`` (findings land on ``SlotTrace.certificates``);
 * ``repro certify`` — the CLI gate (exit 1 on CT-level errors).
 
-Like :mod:`repro.analysis.model`, this package needs :mod:`numpy` and
-the core builders, so it is *not* imported from
-:mod:`repro.analysis` — import it explicitly (the CLI does so lazily),
-keeping ``repro lint`` numpy-free.
+The check families register in the shared rule registry
+(:mod:`repro.analysis.report`) on import of this package.
 """
 
-from repro.analysis.certify.certify import CertifyReport, certify_solution
+from repro.analysis.certify.certify import (
+    CertifyContext,
+    CertifyThresholds,
+    certify_solution,
+)
 from repro.analysis.certify.checks import (
     DualCertificateRule,
     GapCertificateRule,
@@ -34,37 +36,14 @@ from repro.analysis.certify.checks import (
     PlanProfitCertificateRule,
     PrimalCertificateRule,
 )
-from repro.analysis.certify.findings import (
-    SEVERITIES,
-    CertFinding,
-    render_certify_json,
-    render_certify_text,
-)
-from repro.analysis.certify.registry import (
-    CertifyContext,
-    CertifyRule,
-    CertifyThresholds,
-    all_certify_rules,
-    get_certify_rule,
-    register_certify,
-)
 
 __all__ = [
-    "CertFinding",
     "CertifyContext",
-    "CertifyReport",
-    "CertifyRule",
     "CertifyThresholds",
     "DualCertificateRule",
     "GapCertificateRule",
     "IntegralityCertificateRule",
     "PlanProfitCertificateRule",
     "PrimalCertificateRule",
-    "SEVERITIES",
-    "all_certify_rules",
     "certify_solution",
-    "get_certify_rule",
-    "register_certify",
-    "render_certify_json",
-    "render_certify_text",
 ]

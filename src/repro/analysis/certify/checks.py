@@ -11,25 +11,24 @@ code space:
 * ``CT051`` — the decoded plan's recomputed profit against the
   objective.
 
-Dual-side families skip silently when the backend attached no marginals
-(the own simplex, IPM, B&B, and presolve-restored solutions are
-primal-only); :func:`~repro.analysis.certify.certify.certify_solution`
-records the skip in the report details so "clean" is never mistaken for
-"fully checked".
+A family that cannot run on a solve says why in ``skip_reason`` — the
+dual-side families when the backend attached no marginals (the own
+simplex, IPM, B&B, and presolve-restored solutions are primal-only);
+:func:`~repro.analysis.certify.certify.certify_solution` records the
+skip in the report details so "clean" is never mistaken for "fully
+checked".
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator, Optional
 
 import numpy as np
 
-from repro.analysis.certify.findings import CertFinding
-from repro.analysis.certify.registry import (
-    CertifyContext,
-    CertifyRule,
-    register_certify,
-)
+from repro.analysis.report import Finding, Rule, register
+
+if TYPE_CHECKING:
+    from repro.analysis.certify.certify import CertifyContext
 
 __all__ = [
     "PrimalCertificateRule",
@@ -40,8 +39,8 @@ __all__ = [
 ]
 
 
-@register_certify
-class PrimalCertificateRule(CertifyRule):
+@register
+class PrimalCertificateRule(Rule):
     code = "CT010"
     codes = {
         "CT010": "solution violates a variable bound (or is non-finite)",
@@ -55,7 +54,7 @@ class PrimalCertificateRule(CertifyRule):
         "big-M rows and \\$-scale objectives are judged fairly."
     )
 
-    def check(self, ctx: CertifyContext) -> Iterator[CertFinding]:
+    def check(self, ctx: CertifyContext) -> Iterator[Finding]:
         x = ctx.x
         tol = ctx.thresholds.feas_tol
         if not np.all(np.isfinite(x)):
@@ -117,8 +116,8 @@ class PrimalCertificateRule(CertifyRule):
                 )
 
 
-@register_certify
-class DualCertificateRule(CertifyRule):
+@register
+class DualCertificateRule(Rule):
     code = "CT020"
     codes = {
         "CT020": "dual multiplier has the wrong sign (or is non-finite)",
@@ -134,9 +133,12 @@ class DualCertificateRule(CertifyRule):
         "claimed dual certificate proves nothing."
     )
 
-    def check(self, ctx: CertifyContext) -> Iterator[CertFinding]:
+    def skip_reason(self, ctx: CertifyContext) -> Optional[str]:
         if not ctx.has_duals:
-            return
+            return "backend attached no dual marginals"
+        return None
+
+    def check(self, ctx: CertifyContext) -> Iterator[Finding]:
         scale = ctx.objective_scale
         tol = ctx.thresholds.dual_tol * scale
         y = np.asarray(ctx.solution.ineq_marginals, dtype=float).ravel()
@@ -200,8 +202,8 @@ class DualCertificateRule(CertifyRule):
             )
 
 
-@register_certify
-class GapCertificateRule(CertifyRule):
+@register
+class GapCertificateRule(Rule):
     code = "CT030"
     codes = {
         "CT030": "complementary slackness violated on a row",
@@ -217,9 +219,12 @@ class GapCertificateRule(CertifyRule):
         "is feasible."
     )
 
-    def check(self, ctx: CertifyContext) -> Iterator[CertFinding]:
+    def skip_reason(self, ctx: CertifyContext) -> Optional[str]:
         if not ctx.has_duals:
-            return
+            return "backend attached no dual marginals"
+        return None
+
+    def check(self, ctx: CertifyContext) -> Iterator[Finding]:
         lp = ctx.lp
         scale = ctx.objective_scale
         th = ctx.thresholds
@@ -279,8 +284,8 @@ class GapCertificateRule(CertifyRule):
             )
 
 
-@register_certify
-class IntegralityCertificateRule(CertifyRule):
+@register
+class IntegralityCertificateRule(Rule):
     code = "CT040"
     codes = {
         "CT040": "MILP incumbent has a fractional integer variable",
@@ -295,7 +300,12 @@ class IntegralityCertificateRule(CertifyRule):
         "either always or never fire."
     )
 
-    def check(self, ctx: CertifyContext) -> Iterator[CertFinding]:
+    def skip_reason(self, ctx: CertifyContext) -> Optional[str]:
+        if ctx.integer_mask is None or not bool(np.any(ctx.integer_mask)):
+            return "not a MILP solve"
+        return None
+
+    def check(self, ctx: CertifyContext) -> Iterator[Finding]:
         if ctx.integer_mask is None or not np.any(ctx.integer_mask):
             return
         x = ctx.x
@@ -350,8 +360,8 @@ class IntegralityCertificateRule(CertifyRule):
         return worst
 
 
-@register_certify
-class PlanProfitCertificateRule(CertifyRule):
+@register
+class PlanProfitCertificateRule(Rule):
     code = "CT051"
     codes = {
         "CT051": "decoded plan's profit disagrees with the objective",
@@ -364,7 +374,12 @@ class PlanProfitCertificateRule(CertifyRule):
         "reproduces it as net profit."
     )
 
-    def check(self, ctx: CertifyContext) -> Iterator[CertFinding]:
+    def skip_reason(self, ctx: CertifyContext) -> Optional[str]:
+        if ctx.plan is None or ctx.inputs is None:
+            return "no decoded plan supplied"
+        return None
+
+    def check(self, ctx: CertifyContext) -> Iterator[Finding]:
         th = ctx.thresholds
         if ctx.plan is None or ctx.inputs is None:
             return

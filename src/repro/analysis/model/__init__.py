@@ -15,12 +15,13 @@ reports — never raises, never solves — on an ``MD0xx`` code space:
   right-sizing pre-checks (deadline achievability, capacity vs.
   arrivals).
 
-Entry points: :func:`audit_slot` (programmatic), ``repro audit`` (CLI;
-:mod:`.cli`), and ``OptimizerConfig(audit="warn"|"error")`` (per-slot
-hook in ``plan_slot``).
+Entry points: :func:`audit_slot` (programmatic), ``repro audit`` (CLI,
+:mod:`repro.analysis.cli`), and ``OptimizerConfig(audit="warn"|"error")``
+(per-slot hook in ``plan_slot``).  The passes register in the shared
+rule registry (:mod:`repro.analysis.report`) on import of this package.
 """
 
-from repro.analysis.model.audit import ModelAuditReport, audit_slot
+from repro.analysis.model.audit import AuditContext, AuditThresholds, audit_slot
 from repro.analysis.model.bigm import (  # noqa: F401 - registration
     BigMTightnessRule,
     McCormickEnvelopeRule,
@@ -30,21 +31,9 @@ from repro.analysis.model.bigm import (  # noqa: F401 - registration
 from repro.analysis.model.feasibility import (  # noqa: F401 - registration
     FeasibilityRule,
 )
-from repro.analysis.model.findings import (
-    ModelFinding,
-    render_model_json,
-    render_model_text,
-)
 from repro.analysis.model.matrix import (  # noqa: F401 - registration
     MatrixDiagnosticsRule,
     analyze_program,
-)
-from repro.analysis.model.registry import (
-    AuditContext,
-    AuditRule,
-    AuditThresholds,
-    all_audit_rules,
-    get_audit_rule,
 )
 from repro.analysis.model.units import (  # noqa: F401 - registration
     Unit,
@@ -55,16 +44,9 @@ from repro.analysis.model.units import (  # noqa: F401 - registration
 # check_homogeneity, default_unit_registry, formulation_term_table —
 # still importable from their defining modules for interactive use.
 __all__ = [
-    "ModelAuditReport",
-    "ModelFinding",
-    "audit_slot",
-    "render_model_text",
-    "render_model_json",
     "AuditContext",
-    "AuditRule",
     "AuditThresholds",
-    "all_audit_rules",
-    "get_audit_rule",
+    "audit_slot",
     "minimal_big_for_series",
     "recommended_big",
     "analyze_program",

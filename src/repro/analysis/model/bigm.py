@@ -21,17 +21,15 @@ dispatch can reach only degrades LP-relaxation strength and scaling.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, Tuple
 
 import numpy as np
 
-from repro.analysis.model.findings import ModelFinding
-from repro.analysis.model.registry import (
-    AuditContext,
-    AuditRule,
-    register_audit,
-)
+from repro.analysis.report import Finding, Rule, register
 from repro.core.bigm import bigm_constraint_series
+
+if TYPE_CHECKING:
+    from repro.analysis.model.audit import AuditContext
 
 __all__ = [
     "minimal_big_for_series",
@@ -151,8 +149,8 @@ def tight_lambda_bound(ctx: AuditContext) -> np.ndarray:
     return np.minimum(offered[:, None], np.clip(safe, 0.0, None))
 
 
-@register_audit
-class BigMTightnessRule(AuditRule):
+@register
+class BigMTightnessRule(Rule):
     """MD010/MD011 — configured big-M vs. the data-driven minimum."""
 
     code = "MD010"
@@ -172,7 +170,7 @@ class BigMTightnessRule(AuditRule):
         "the tightened constant."
     )
 
-    def check(self, ctx: AuditContext) -> Iterator[ModelFinding]:
+    def check(self, ctx: AuditContext) -> Iterator[Finding]:
         limit = ctx.thresholds.bigm_ratio_limit
         for rc in ctx.inputs.topology.request_classes:
             tuf = rc.tuf
@@ -224,8 +222,8 @@ class BigMTightnessRule(AuditRule):
         return out
 
 
-@register_audit
-class McCormickEnvelopeRule(AuditRule):
+@register
+class McCormickEnvelopeRule(Rule):
     """MD012/MD013 — MILP McCormick bounds vs. the tight load bound."""
 
     code = "MD012"
@@ -244,7 +242,7 @@ class McCormickEnvelopeRule(AuditRule):
         "the deadline-aware capacity min(offered, M*(C*mu - 1/D))."
     )
 
-    def check(self, ctx: AuditContext) -> Iterator[ModelFinding]:
+    def check(self, ctx: AuditContext) -> Iterator[Finding]:
         if not ctx.multilevel:
             return
         topo = ctx.inputs.topology

@@ -22,23 +22,21 @@ raised) down to right-sizing advisories:
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from repro.analysis.model.findings import ModelFinding
-from repro.analysis.model.registry import (
-    AuditContext,
-    AuditRule,
-    register_audit,
-)
+from repro.analysis.report import Finding, Rule, register
 from repro.core.formulation import feasibility_margin
+
+if TYPE_CHECKING:
+    from repro.analysis.model.audit import AuditContext
 
 __all__ = ["FeasibilityRule"]
 
 
-@register_audit
-class FeasibilityRule(AuditRule):
+@register
+class FeasibilityRule(Rule):
     """MD040-MD045 — solve-free feasibility and right-sizing checks."""
 
     code = "MD040"
@@ -62,7 +60,7 @@ class FeasibilityRule(AuditRule):
         "solve can achieve."
     )
 
-    def check(self, ctx: AuditContext) -> Iterator[ModelFinding]:
+    def check(self, ctx: AuditContext) -> Iterator[Finding]:
         topo = ctx.topology
         deadlines = ctx.effective_deadlines()  # (K,)
         mu = topo.service_rates  # (K, L)

@@ -11,8 +11,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.registry import FileContext, Rule, register
+from repro.analysis.report import Finding, Rule, register
+from repro.analysis.runner import FileContext
 
 __all__ = ["SolverContractRule", "PoolPicklabilityRule", "SwallowedExceptionRule"]
 
@@ -45,7 +45,7 @@ class SolverContractRule(Rule):
         "offered but unused)."
     )
 
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
         if not ctx.in_package("solvers"):
             return
         entry_points: List[Tuple[ast.FunctionDef, str]] = []
@@ -63,8 +63,8 @@ class SolverContractRule(Rule):
         for fn, label in entry_points:
             missing = sorted({"state", "collector"} - _param_names(fn))
             if missing:
-                yield self.diagnostic(
-                    ctx, fn,
+                yield ctx.finding(
+                    self, fn,
                     f"solver entry point '{label}' drops the threading "
                     f"contract: missing parameter(s) {', '.join(missing)} "
                     "(warm-start SolverState / repro.obs Collector; see "
@@ -112,7 +112,7 @@ class PoolPicklabilityRule(Rule):
     #: Callables these names receive must cross a process boundary.
     _POOL_FUNCTIONS = {"parallel_run_simulation", "ProcessPoolExecutor"}
 
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
         yield from self._walk(ctx, ctx.tree, local_callables=frozenset())
 
     def _local_callables(self, fn: ast.AST) -> Set[str]:
@@ -129,7 +129,7 @@ class PoolPicklabilityRule(Rule):
 
     def _walk(
         self, ctx: FileContext, node: ast.AST, local_callables: frozenset
-    ) -> Iterator[Diagnostic]:
+    ) -> Iterator[Finding]:
         for child in ast.iter_child_nodes(node):
             scope = local_callables
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -140,7 +140,7 @@ class PoolPicklabilityRule(Rule):
 
     def _check_call(
         self, ctx: FileContext, call: ast.Call, local_callables: frozenset
-    ) -> Iterator[Diagnostic]:
+    ) -> Iterator[Finding]:
         tail = _chain_tail(call.func)
         is_boundary = False
         if tail == "submit" and isinstance(call.func, ast.Attribute):
@@ -155,15 +155,15 @@ class PoolPicklabilityRule(Rule):
         candidates = list(call.args) + [kw.value for kw in call.keywords]
         for arg in candidates:
             if isinstance(arg, ast.Lambda):
-                yield self.diagnostic(
-                    ctx, arg,
+                yield ctx.finding(
+                    self, arg,
                     f"lambda passed across the process-pool boundary "
                     f"('{tail}'); lambdas do not pickle — use a "
                     "module-level function or a picklable spec",
                 )
             elif isinstance(arg, ast.Name) and arg.id in local_callables:
-                yield self.diagnostic(
-                    ctx, arg,
+                yield ctx.finding(
+                    self, arg,
                     f"locally-defined callable '{arg.id}' passed across "
                     f"the process-pool boundary ('{tail}'); nested "
                     "functions do not pickle — move it to module scope",
@@ -226,7 +226,7 @@ class SwallowedExceptionRule(Rule):
         "amount, not an exception."
     )
 
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
         scoped = ctx.in_package("solvers", "core", "sim")
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Try):
@@ -234,8 +234,8 @@ class SwallowedExceptionRule(Rule):
             for handler in node.handlers:
                 broad, description = _is_broad_handler(handler)
                 if handler.type is None:
-                    yield self.diagnostic(
-                        ctx, handler,
+                    yield ctx.finding(
+                        self, handler,
                         "bare 'except:' catches SystemExit/KeyboardInterrupt "
                         "too; name the exception types and record or "
                         "re-raise the failure",
@@ -244,8 +244,8 @@ class SwallowedExceptionRule(Rule):
                 if not scoped or not broad:
                     continue
                 if not _handler_records_failure(handler):
-                    yield self.diagnostic(
-                        ctx, handler,
+                    yield ctx.finding(
+                        self, handler,
                         f"{description} swallows the error without "
                         "re-raising, warning, or recording a failure "
                         "(SolveStats.failure / SimulationResult.failures); "

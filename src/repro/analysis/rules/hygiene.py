@@ -12,8 +12,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Optional, Tuple
 
-from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.registry import FileContext, Rule, register
+from repro.analysis.report import Finding, Rule, register
+from repro.analysis.runner import FileContext
 
 __all__ = ["MutableDefaultRule", "ArrayDtypeContractRule"]
 
@@ -54,7 +54,7 @@ class MutableDefaultRule(Rule):
         "container inside the function."
     )
 
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if not isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
@@ -75,8 +75,8 @@ class MutableDefaultRule(Rule):
             for arg, default in defaults:
                 description = _mutable_default(default)
                 if description is not None:
-                    yield self.diagnostic(
-                        ctx, default,
+                    yield ctx.finding(
+                        self, default,
                         f"mutable default {description} for parameter "
                         f"'{arg.arg}' of '{owner}' is shared across "
                         "calls; default to None and build the container "
@@ -117,14 +117,14 @@ class ArrayDtypeContractRule(Rule):
         "callers and reviewers see the guarantee."
     )
 
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
         if not ctx.in_package("core", "solvers"):
             return
         yield from self._walk(ctx, ctx.tree, private_scope=False)
 
     def _walk(
         self, ctx: FileContext, node: ast.AST, private_scope: bool
-    ) -> Iterator[Diagnostic]:
+    ) -> Iterator[Finding]:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
                 yield from self._walk(
@@ -138,14 +138,14 @@ class ArrayDtypeContractRule(Rule):
 
     def _check_function(
         self, ctx: FileContext, fn: ast.FunctionDef
-    ) -> Iterator[Diagnostic]:
+    ) -> Iterator[Finding]:
         if not _returns_ndarray(fn):
             return
         doc = ast.get_docstring(fn) or ""
         lowered = doc.lower()
         if "float64" not in lowered and "dtype" not in lowered:
-            yield self.diagnostic(
-                ctx, fn,
+            yield ctx.finding(
+                self, fn,
                 f"'{fn.name}' returns np.ndarray but its docstring does "
                 "not state the dtype contract; document 'float64' (or "
                 "the intended dtype) so silent float32/object coercion "

@@ -12,8 +12,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Optional, Set
 
-from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.registry import FileContext, Rule, register
+from repro.analysis.report import Finding, Rule, register
+from repro.analysis.runner import FileContext
 
 __all__ = ["FloatEqualityRule", "UnseededRngRule", "FrozenMutationRule"]
 
@@ -54,7 +54,7 @@ class FloatEqualityRule(Rule):
         "correct on both sides of the boundary."
     )
 
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Compare):
                 continue
@@ -65,8 +65,8 @@ class FloatEqualityRule(Rule):
                 left, right = operands[i], operands[i + 1]
                 if _is_float_constant(left) or _is_float_constant(right):
                     symbol = "==" if isinstance(op, ast.Eq) else "!="
-                    yield self.diagnostic(
-                        ctx, node,
+                    yield ctx.finding(
+                        self, node,
                         f"exact float comparison ('{symbol}' with a float "
                         "operand); use a tolerance (math.isclose / "
                         "abs(a-b) <= tol) or an inequality guard",
@@ -118,23 +118,23 @@ class UnseededRngRule(Rule):
         "repro.utils.rng instead."
     )
 
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
         if ctx.path.endswith(_RNG_HOME_SUFFIX):
             return
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.name == "random" or alias.name.startswith("random."):
-                        yield self.diagnostic(
-                            ctx, node,
+                        yield ctx.finding(
+                            self, node,
                             "stdlib 'random' import; use numpy Generators "
                             "from repro.utils.rng so all streams share one "
                             "seeding scheme",
                         )
             elif isinstance(node, ast.ImportFrom):
                 if node.module == "random" and node.level == 0:
-                    yield self.diagnostic(
-                        ctx, node,
+                    yield ctx.finding(
+                        self, node,
                         "stdlib 'random' import; use numpy Generators from "
                         "repro.utils.rng so all streams share one seeding "
                         "scheme",
@@ -149,16 +149,16 @@ class UnseededRngRule(Rule):
                     and chain[-2] == "random"
                     and chain[-1] in _LEGACY_NP_RANDOM
                 ):
-                    yield self.diagnostic(
-                        ctx, node,
+                    yield ctx.finding(
+                        self, node,
                         f"legacy global-state RNG 'np.random.{chain[-1]}'; "
                         "derive a Generator via repro.utils.rng "
                         "(RandomStreams / as_generator)",
                     )
                 # default_rng() with no arguments = OS-entropy seed.
                 elif chain[-1] == "default_rng" and not node.args and not node.keywords:
-                    yield self.diagnostic(
-                        ctx, node,
+                    yield ctx.finding(
+                        self, node,
                         "default_rng() without a seed is a fresh "
                         "OS-entropy stream on every call; pass a seed or "
                         "a SeedSequence from repro.utils.rng",
@@ -186,12 +186,12 @@ class FrozenMutationRule(Rule):
         "instead."
     )
 
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
         yield from self._walk(ctx, ctx.tree, enclosing=None)
 
     def _walk(
         self, ctx: FileContext, node: ast.AST, enclosing: Optional[str]
-    ) -> Iterator[Diagnostic]:
+    ) -> Iterator[Finding]:
         for child in ast.iter_child_nodes(node):
             scope = enclosing
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -205,8 +205,8 @@ class FrozenMutationRule(Rule):
                     where = (
                         f"in {enclosing!r}" if enclosing else "at module scope"
                     )
-                    yield self.diagnostic(
-                        ctx, child,
+                    yield ctx.finding(
+                        self, child,
                         f"object.__setattr__ {where} mutates a frozen "
                         "instance; only __post_init__/__setstate__ may do "
                         "this — use dataclasses.replace to derive a new "

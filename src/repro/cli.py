@@ -13,19 +13,17 @@ Commands:
 * ``stream [--policy periodic|drift|margin]`` — the sub-slot streaming
   control plane (:mod:`repro.stream`); re-plans on drift/margin decay
   instead of the wall clock;
-* ``lint [PATH ...]`` — run the :mod:`repro.analysis` domain-aware
-  static-analysis pass (``reprolint``); exits 1 on findings;
-* ``audit [--scenario ...]`` — run the :mod:`repro.analysis.model`
-  formulation auditor on one slot problem (big-M tightness, units,
-  matrix diagnostics, feasibility); exits 1 on MD errors;
+* ``lint``/``arch``/``audit``/``certify`` — the :mod:`repro.analysis`
+  tools (source rules, architecture, formulation audit, optimality
+  certificates), and ``check``, all four in one gate;
 * ``bench [--all|--scenario ...]`` — run the canonical perf-benchmark
   scenarios (:mod:`repro.bench`), emit ``BENCH_<scenario>.json``, and
   optionally gate against committed baselines; exits 1 on regressions.
 
 Every command lives in a :func:`repro.cli_registry.register_subcommand`
-registration — the core ones below, the subsystem ones
-(``lint``/``audit``/``bench``/``stream``) in their own packages'
-``cli`` modules, imported here for the registration side effect.
+registration — the core ones below, the subsystem ones (the analysis
+tools, ``bench``, ``stream``) in their own packages' ``cli`` modules,
+imported here for the registration side effect.
 :func:`build_parser` and :func:`main` are both derived from the
 registry, so adding a command never edits this module's dispatch code.
 """
@@ -389,12 +387,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 # ------------------------------------------------- registry-driven wiring
 
 # Importing the subsystem CLI modules registers their subcommands
-# (lint, audit, bench, stream).  Order here is display order in --help.
+# (lint, arch, audit, certify, check, bench, stream).  Order here is
+# display order in --help.
 import repro.analysis.cli  # noqa: E402,F401  (registration side effect)
-import repro.analysis.model.cli  # noqa: E402,F401
-import repro.analysis.certify.cli  # noqa: E402,F401
-import repro.analysis.arch.cli  # noqa: E402,F401
-import repro.analysis.check  # noqa: E402,F401
 import repro.bench.cli  # noqa: E402,F401
 import repro.stream.cli  # noqa: E402,F401
 
@@ -420,3 +415,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
     return get_subcommand(args.command).run(args)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -61,14 +61,14 @@ class SlotTrace:
     ``audit`` carries the formulation auditor's findings for the slot
     when ``OptimizerConfig(audit="warn"|"error")`` is active: one dict
     per finding, as produced by
-    ``repro.analysis.model.ModelFinding.to_dict`` (code, severity,
+    ``repro.analysis.report.Finding.to_dict`` (code, severity,
     component, message, data).  Empty when auditing is off or the slot
     audited clean; defaults so older trace files still round-trip.
 
     ``certificates`` carries the optimality certifier's findings for
     the slot when ``OptimizerConfig(certify="warn"|"error")`` is
     active: one dict per finding, as produced by
-    ``repro.analysis.certify.CertFinding.to_dict`` (code, severity,
+    ``repro.analysis.report.Finding.to_dict`` (code, severity,
     component, message, data).  Empty when certification is off or the
     solve certified clean; defaults so older trace files round-trip.
     """

@@ -5,8 +5,9 @@ import ast
 
 import pytest
 
-from repro.analysis import all_rules, get_rule, lint_source
-from repro.analysis.registry import FileContext, Rule, register
+from repro.analysis import get_rule, lint_source
+from repro.analysis.report import Rule, register, rules
+from repro.analysis.runner import FileContext
 from repro.analysis.suppression import (
     SuppressionError,
     collect_suppressions,
@@ -24,12 +25,12 @@ def run_rule(code, source, path="src/repro/module.py"):
 
 class TestRegistry:
     def test_all_ten_domain_rules_registered(self):
-        registered = {rule.code for rule in all_rules()}
+        registered = {rule.code for rule in rules("RP")}
         assert {"RP001", "RP002", "RP003", "RP004", "RP005",
                 "RP006", "RP007", "RP008", "RP009", "RP010"} <= registered
 
     def test_rules_carry_metadata(self):
-        for rule in all_rules():
+        for rule in rules("RP"):
             assert rule.name, rule.code
             assert rule.rationale, rule.code
 

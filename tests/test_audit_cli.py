@@ -33,6 +33,17 @@ class TestExitCodes:
         assert main(["audit", "--slot", "-1"]) == 2
         assert "--slot" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario,slot,length", [
+        ("section6", 999, 24), ("section5", 3, 1), ("section7", 7, 7),
+    ])
+    def test_slot_past_the_trace_exits_two(self, scenario, slot, length,
+                                           capsys):
+        # The trace would wrap the index: --slot 999 audited slot 15.
+        assert main(["audit", "--scenario", scenario,
+                     "--slot", str(slot)]) == 2
+        err = capsys.readouterr().err
+        assert f"the {scenario} trace has {length} slot(s)" in err
+
     def test_unwritable_report_exits_two(self, tmp_path, capsys):
         target = tmp_path / "no" / "such" / "dir" / "report.json"
         assert main(["audit", "--out", str(target)]) == 2
@@ -77,7 +88,7 @@ class TestThresholds:
 
 class TestListChecks:
     def test_catalog_lists_all_codes(self, capsys):
-        assert main(["audit", "--list-checks"]) == 0
+        assert main(["audit", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for code in ("MD010", "MD011", "MD012", "MD020", "MD030",
                      "MD036", "MD040", "MD045"):

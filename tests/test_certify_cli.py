@@ -27,6 +27,15 @@ class TestExitCodes:
         assert main(["certify", "--slots", "0"]) == 2
         assert "--slots" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--slot", "999"], ["--slots", "25"],
+        ["--scenario", "section5", "--slots", "2"],
+    ])
+    def test_slots_past_the_trace_exit_two(self, flags, capsys):
+        # The trace would wrap: --slot 999 used to solve 1000 slots.
+        assert main(["certify", *flags]) == 2
+        assert "trace has" in capsys.readouterr().err
+
     def test_unwritable_report_exits_two(self, tmp_path, capsys):
         target = tmp_path / "no" / "such" / "dir" / "report.json"
         assert main(["certify", "--out", str(target)]) == 2
@@ -67,7 +76,7 @@ class TestJsonFormat:
 
 class TestListChecks:
     def test_catalog_lists_all_codes(self, capsys):
-        assert main(["certify", "--list-checks"]) == 0
+        assert main(["certify", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for code in ("CT010", "CT011", "CT020", "CT021", "CT030",
                      "CT031", "CT040", "CT041", "CT051"):

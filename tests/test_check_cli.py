@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.analysis.check import CHECK_NAMES, run_checks
+from repro.analysis.cli import CHECK_NAMES, run_checks
 from repro.cli import main
 
 DIRTY = "def check(a):\n    return a == 0.0\n"
@@ -83,6 +83,34 @@ class TestCheckCli:
     def test_bad_certify_slots_exits_two(self, capsys):
         assert main(["check", "--certify-slots", "0"]) == 2
         assert "certify-slots" in capsys.readouterr().err
+
+    def test_lint_findings_count_as_errors(self, tmp_path, capsys):
+        # Lint findings carry severity "error"; the summary used to
+        # report them as "0 error(s)" with summary.errors == 0.
+        bad = tmp_path / "bad.py"
+        bad.write_text(DIRTY)
+        skips = ["--skip", "arch", "--skip", "audit", "--skip", "certify"]
+        assert main(["check", str(bad), *skips]) == 1
+        assert "lint     FAIL  1 finding(s): 1 error(s)" in (
+            capsys.readouterr().out
+        )
+        assert main(["check", str(bad), *skips, "--format", "json"]) == 1
+        lint = json.loads(capsys.readouterr().out)["checks"]["lint"]
+        assert lint["summary"]["errors"] == 1
+        assert lint["findings"][0]["severity"] == "error"
+
+    @pytest.mark.parametrize("flags", [
+        ["--slot", "24", "--skip", "certify"],
+        ["--certify-slots", "25", "--skip", "audit"],
+        ["--scenario", "section7", "--slot", "7", "--skip", "certify"],
+    ])
+    def test_out_of_range_slots_exit_two(self, flags, capsys):
+        # The traces would wrap the index silently (slot 24 is slot 0).
+        skips = ["--skip", "lint", "--skip", "arch"]
+        assert main(["check", *skips, *flags]) == 2
+        out = capsys.readouterr().out
+        assert "usage error: slot" in out
+        assert "trace has" in out and "slot(s)" in out
 
     def test_solver_checks_run(self, capsys):
         """Smoke the audit + certify legs on the default scenario."""

@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +60,26 @@ class TestRegistry:
     def test_stream_rejects_unknown_policy(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["stream", "--policy", "chaotic"])
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["repro", "repro.cli"])
+    def test_dirty_file_fails_the_lint_gate(self, module, tmp_path):
+        # `python -m repro.cli` once parsed nothing and exited 0, so a
+        # gate spelled that way passed on any tree.
+        bad = tmp_path / "bad.py"
+        bad.write_text("def f(x):\n    return x == 0.0\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", module, "lint", str(bad)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert result.returncode == 1, result.stderr
+        assert "RP001" in result.stdout
 
 
 class TestParser:
