@@ -1,6 +1,6 @@
 """The canonical benchmark scenario catalog.
 
-Six tracked scenarios, each emitting one ``BENCH_<name>.json``:
+Seven tracked scenarios, each emitting one ``BENCH_<name>.json``:
 
 * ``paper_scale``   — the §VI World-Cup day end to end (24 hourly slots,
   18 servers), the paper-faithful workload; also times the plan loop
@@ -16,6 +16,9 @@ Six tracked scenarios, each emitting one ``BENCH_<name>.json``:
   scenarios track per-server plan materialization, not the solve;
 * ``warm_vs_cold``  — the Fig. 11-setup §VII slot pipeline solved cold
   and warm, recording the warm-start layer's speedup as a ratio;
+* ``des_cluster``   — §VI slots 0/6/12/18 run through ``simulate_plan``,
+  the processor-sharing cluster DES: arrival throughput, and the
+  realized per-job profit against the planned objective;
 * ``des_million``   — a ≥10⁶-request M/M/1 validation run on the
   discrete-event engine, with the pre-refactor
   :class:`~repro.des.reference.ReferenceEngine` timed on the identical
@@ -517,6 +520,76 @@ def _warm_vs_cold(request: ScenarioRequest) -> ScenarioResult:
                 "slots_per_s": slots / warm_timing.median_s,
                 "cold_slots_per_s": slots / cold_timing.median_s,
             },
+        ),
+    )
+
+
+#: §VI slots the cluster DES scenario simulates (as perfbench's des_slot).
+DES_CLUSTER_SLOTS = (0, 6, 12, 18)
+
+
+@register_scenario(
+    "des_cluster",
+    "processor-sharing cluster DES (simulate_plan) of §VI slots "
+    "0/6/12/18: arrival throughput and realized/planned profit",
+)
+def _des_cluster(request: ScenarioRequest) -> ScenarioResult:
+    from repro.core.objective import evaluate_plan
+    from repro.core.optimizer import ProfitAwareOptimizer
+    from repro.des.cluster import SimulatedSlotOutcome, simulate_plan
+    from repro.experiments.section6 import section6_experiment
+
+    smoke = request.mode == "smoke"
+    seed = request.seed if request.seed is not None else 1998
+    slots = request.param("slots", len(DES_CLUSTER_SLOTS))
+    repeats = request.param("repeats", 1 if smoke else 3)
+    warmup = request.param("warmup", 0 if smoke else 1)
+    horizon_h = 0.02 if smoke else 0.2
+
+    exp = section6_experiment(seed=seed)
+    optimizer = ProfitAwareOptimizer(exp.topology)
+    cases = []
+    planned = 0.0
+    for j, t in enumerate(DES_CLUSTER_SLOTS[:slots]):
+        arrivals = exp.trace.arrivals_at(t)
+        prices = exp.market.prices_at(t)
+        plan = optimizer.plan_slot(arrivals, prices,
+                                   slot_duration=exp.trace.slot_duration)
+        planned += evaluate_plan(plan, arrivals, prices,
+                                 slot_duration=horizon_h).net_profit
+        cases.append((plan, prices, seed * len(DES_CLUSTER_SLOTS) + j))
+
+    def once() -> List[SimulatedSlotOutcome]:
+        return [simulate_plan(plan, prices, horizon_h, seed=des_seed)
+                for plan, prices, des_seed in cases]
+
+    timing, outcomes = time_callable(once, repeats=repeats, warmup=warmup)
+    generated = sum(o.generated for o in outcomes)
+    per_job = sum(o.net_profit_per_job for o in outcomes)
+    return ScenarioResult(
+        seed=seed,
+        config={
+            "experiment": "section6",
+            "slots": list(DES_CLUSTER_SLOTS[:slots]),
+            "horizon_h": horizon_h,
+            "repeats": repeats,
+            "warmup": warmup,
+        },
+        determinism={
+            "generated": generated,
+            "completed": sum(o.completed for o in outcomes),
+            "net_profit_per_job": per_job,
+            "net_profit_mean_delay": sum(o.net_profit_mean_delay
+                                         for o in outcomes),
+            "planned_net_profit": planned,
+            "realized_over_planned": per_job / planned,
+            "max_delay_model_error": max(o.max_delay_model_error
+                                         for o in outcomes),
+        },
+        timing=_timing_section(
+            timing,
+            per_phase_s={"simulate": timing.median_s},
+            throughput={"arrivals_per_s": generated / timing.median_s},
         ),
     )
 

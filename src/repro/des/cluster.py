@@ -7,6 +7,19 @@ processor-sharing queue, Poisson arrivals are generated at the planned
 per-(front-end, server) rates, and each job's realized sojourn time is
 recorded.
 
+The VMs share nothing — each has its own named RNG stream
+(``arrivals-{k}-{n}``), its own queue and its own statistics — so each
+is simulated on its own, with no global event heap: its arrivals are
+drawn up front (:func:`~repro.des.processes.draw_poisson_arrivals`) and
+its queue runs in one heap-free loop
+(:func:`~repro.des.server.processor_sharing_departures`) until every
+job has left.  That loop repeats :class:`~repro.des.server.VirtualMachine`'s
+float operations and the engine's ``(time, seq)`` tie rule exactly, so
+the outcome is bit-identical to driving every VM on one shared
+:class:`~repro.des.engine.Engine` (pinned by
+``tests/test_des_ps_loop.py``).  Each VM drains only its own residents,
+so no cap on drain events is needed.
+
 Two revenue accountings are produced:
 
 * ``mean_delay`` — the paper's: per-VM utility evaluated at the measured
@@ -24,13 +37,15 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.des.engine import Engine
+# Not used here: perfbench's ``des_slot`` workload subclasses
+# ``repro.des.cluster.Engine`` to count engine events, so the name must
+# stay bound in this module (the count now reads 0).
+from repro.des.engine import Engine  # noqa: F401
 
 if TYPE_CHECKING:  # avoid the core->queueing->des->core import cycle
     from repro.core.plan import DispatchPlan
-from repro.des.measurements import SojournStats
-from repro.des.processes import PoissonArrivals
-from repro.des.server import VirtualMachine
+from repro.des.processes import draw_poisson_arrivals
+from repro.des.server import processor_sharing_departures
 from repro.utils.rng import RandomStreams
 from repro.utils.validation import check_nonnegative, check_positive
 
@@ -77,15 +92,8 @@ class SimulatedSlotOutcome:
         return worst
 
 
-class _RecordingVM(VirtualMachine):
-    """A VM that also keeps raw sojourns for per-job accounting."""
-
-    def __init__(self, engine: Engine, rate: float):
-        super().__init__(engine, rate, stats=SojournStats(keep_raw=True))
-
-
 class ClusterSimulation:
-    """Event-driven simulation of one plan over one slot.
+    """Simulation of one plan over one slot, one VM at a time.
 
     Parameters
     ----------
@@ -96,9 +104,12 @@ class ClusterSimulation:
     seed:
         Root seed; every (class, server) arrival stream is independent.
     warmup_fraction:
-        Leading fraction of the horizon excluded from the sojourn means
-        used in the ``mean_delay`` accounting (revenue/cost counts still
-        include all completed jobs).
+        Leading fraction of the horizon whose arrivals are excluded from
+        the sojourn means (``mean_sojourn`` and the utility level of the
+        ``mean_delay`` accounting).  It trims nothing else: both
+        revenues and ``completed`` count every completed job, as the
+        costs count every generated one.  A VM none of whose completed
+        jobs arrived after the warmup keeps the mean over all of them.
     """
 
     def __init__(
@@ -125,56 +136,43 @@ class ClusterSimulation:
             raise ValueError(
                 f"prices must have shape {(topo.num_datacenters,)}"
             )
-        engine = Engine()
         loads = plan.server_loads()  # (K, N)
         service = plan.server_service_rates()  # (K, N)
         horizon = self.slot_duration
         warmup = self.warmup_fraction * horizon
 
-        vms: Dict[Tuple[int, int], _RecordingVM] = {}
-        generators: List[PoissonArrivals] = []
+        revenue_mean = 0.0
+        revenue_jobs = 0.0
+        completed = 0
+        per_pair_counts: Dict[Tuple[int, int], int] = {}
+        mean_sojourn: Dict[Tuple[int, int], float] = {}
+        predicted: Dict[Tuple[int, int], float] = {}
+        analytic = plan.delays()
         for k in range(topo.num_classes):
+            tuf = topo.request_classes[k].tuf
             for n in range(topo.num_servers):
                 lam = float(loads[k, n])
                 share = float(plan.shares[k, n])
                 if lam <= 0 or share <= 0:
                     continue
-                vm = _RecordingVM(engine, rate=share * service[k, n])
-                vm.stats.warmup_time = warmup
-                vms[(k, n)] = vm
-                generators.append(PoissonArrivals(
-                    engine, rate=lam, sink=vm.arrive,
-                    seed=self._streams.stream(f"arrivals-{k}-{n}"),
-                    stop_time=horizon,
-                ))
-        engine.run_until(horizon)
-        # Let in-flight jobs drain (bounded residual work).
-        engine.run(max_events=1_000_000)
-
-        revenue_mean = 0.0
-        revenue_jobs = 0.0
-        completed = 0
-        generated = sum(g.generated for g in generators)
-        mean_sojourn: Dict[Tuple[int, int], float] = {}
-        predicted: Dict[Tuple[int, int], float] = {}
-        analytic = plan.delays()
-        for (k, n), vm in vms.items():
-            tuf = topo.request_classes[k].tuf
-            raw = np.asarray(vm.stats.raw)
-            if raw.size:
-                revenue_jobs += float(np.sum(tuf.utility(raw)))
-                completed += int(raw.size)
-            if vm.stats.count:
-                mean_sojourn[(k, n)] = vm.stats.mean
+                times, works = draw_poisson_arrivals(
+                    lam, horizon, self._streams.stream(f"arrivals-{k}-{n}"))
+                arrived, departed = processor_sharing_departures(
+                    times.tolist(), works.tolist(), share * service[k, n])
+                per_pair_counts[(k, n)] = len(times)
+                if not departed:
+                    continue
+                sojourns = np.subtract(departed, arrived)
+                revenue_jobs += float(np.sum(tuf.utility(sojourns)))
+                completed += int(sojourns.size)
+                kept = sojourns[np.asarray(arrived) >= warmup]
+                mean = _running_mean((kept if kept.size else sojourns).tolist())
+                mean_sojourn[(k, n)] = mean
                 predicted[(k, n)] = float(analytic[k, n])
-                revenue_mean += float(tuf.utility(vm.stats.mean)) * raw.size
+                revenue_mean += float(tuf.utility(mean)) * sojourns.size
 
         # Costs follow realized *generated* traffic (every dispatched
         # request is transferred and processed, utility or not).
-        per_pair_counts = {
-            key: generators[i].generated
-            for i, key in enumerate(vms.keys())
-        }
         energy_per_req = topo._energy_model.per_request_cost(prices)  # (K, L)
         transfer_per_req = topo._transfer_cost  # (K, S, L)
         dc_of = topo._dc_of_server
@@ -198,10 +196,21 @@ class ClusterSimulation:
             energy_cost=energy_cost,
             transfer_cost=transfer_cost,
             completed=completed,
-            generated=generated,
+            generated=sum(per_pair_counts.values()),
             mean_sojourn=mean_sojourn,
             predicted_sojourn=predicted,
         )
+
+
+def _running_mean(values: List[float]) -> float:
+    """Welford's running mean, in the order and float operations of
+    :meth:`~repro.des.measurements.SojournStats.record`."""
+    mean = 0.0
+    count = 0
+    for value in values:
+        count += 1
+        mean += (value - mean) / count
+    return mean
 
 
 def simulate_plan(

@@ -10,11 +10,19 @@ underlying ``standard_exponential`` stream, the batched process
 produces *bit-identical* realizations to the per-call implementation
 for any given seed — simulations stay reproducible across the
 refactor (pinned by ``tests/test_property_des.py``).
+
+:func:`draw_poisson_arrivals` is the same realization drawn up front,
+for callers that own a whole queue and need no engine: arrival times
+are one ``np.cumsum`` over the scaled gaps.  ``np.add.accumulate`` adds
+strictly left to right, so each time is the engine's ``now + gap`` bit
+for bit, and the RNG is refilled in the same ``SAMPLE_BATCH`` blocks,
+so the generator is left exactly where :class:`PoissonArrivals` leaves
+it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -22,7 +30,7 @@ from repro.des.engine import Engine
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_positive
 
-__all__ = ["PoissonArrivals", "exponential_sampler"]
+__all__ = ["PoissonArrivals", "draw_poisson_arrivals", "exponential_sampler"]
 
 #: Standard exponential variates drawn per RNG refill.  One arrival
 #: consumes two (interarrival gap + work requirement), so a block
@@ -40,6 +48,40 @@ def exponential_sampler(
         return float(rng.exponential(mean))
 
     return sample
+
+
+def draw_poisson_arrivals(
+    rate: float, stop_time: float, seed: SeedLike = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every arrival :class:`PoissonArrivals` would generate, at once.
+
+    Returns ``(times, works)``: the arrival times before ``stop_time``
+    and each arrival's work requirement (mean 1), both bit-identical to
+    what an engine-driven :class:`PoissonArrivals` with the same
+    ``rate``, ``seed`` and ``stop_time`` (started at time 0) hands its
+    sink.  The stream interleaves one gap and one work variate per
+    arrival, so blocks stay aligned because ``SAMPLE_BATCH`` is even.
+    """
+    check_positive(rate, "rate")
+    rng = as_generator(seed)
+    gap_scale = 1.0 / float(rate)
+    stop = float(stop_time)
+    blocks: List[np.ndarray] = []
+    clocks: List[np.ndarray] = []
+    now = 0.0
+    while True:
+        block = rng.standard_exponential(SAMPLE_BATCH)
+        gaps = block[0::2] * gap_scale
+        gaps[0] = now + gaps[0]
+        clock = np.cumsum(gaps)
+        blocks.append(block)
+        clocks.append(clock)
+        now = float(clock[-1])
+        if now >= stop:
+            break
+    samples, times = np.concatenate(blocks), np.concatenate(clocks)
+    count = int(np.searchsorted(times, stop, side="left"))
+    return times[:count], samples[1:2 * count:2]
 
 
 class PoissonArrivals:

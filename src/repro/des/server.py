@@ -13,14 +13,34 @@ disciplines are provided and cross-checked in tests.
 one persistent bound callback — no per-job object, closure, or
 cancellation handle is allocated.  The processor-sharing
 :class:`VirtualMachine` keeps per-job objects because its completion
-events genuinely need cancellation on every arrival.
+events genuinely need cancellation on every arrival; it is the
+composable event-driven component (:class:`ProcessorSharingServer`,
+mixed models on one :class:`~repro.des.engine.Engine`).
+
+:func:`processor_sharing_departures` runs one whole PS queue on its own,
+given all of its arrivals up front (see
+:func:`~repro.des.processes.draw_poisson_arrivals`).  A VM shares
+nothing with any other VM, so it needs no event heap: one loop over
+plain float lists alternates "next arrival" and "pending completion".
+It repeats :class:`VirtualMachine`'s float operations exactly — the
+work drain ``per_job = (now - last) * rate / n`` then
+``max(0.0, r - per_job)``, the first-minimum job choice, the finish time
+``now + r * n / rate`` — and the engine's ``(time, seq)`` tie rule: when
+the pending completion and the next arrival fall at the same time, the
+completion goes first only if the previous arrival scheduled it (it
+then holds the smaller sequence number); a completion scheduled by an
+earlier completion was scheduled after that arrival and goes second.
+The sojourns it returns are therefore bit-identical to a
+:class:`VirtualMachine` fed by :class:`~repro.des.processes.PoissonArrivals`
+(pinned by ``tests/test_des_ps_loop.py``).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from itertools import chain
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +49,14 @@ from repro.des.events import Event
 from repro.des.measurements import SojournStats
 from repro.utils.validation import check_positive
 
-__all__ = ["FCFSQueueServer", "ProcessorSharingServer", "VirtualMachine"]
+_INF = float("inf")
+
+__all__ = [
+    "FCFSQueueServer",
+    "ProcessorSharingServer",
+    "VirtualMachine",
+    "processor_sharing_departures",
+]
 
 
 @dataclass
@@ -155,6 +182,62 @@ class VirtualMachine:
         self._jobs.append(_Job(self._next_id, self._engine.now, float(work)))
         self._next_id += 1
         self._reschedule_completion()
+
+
+def processor_sharing_departures(
+    arrival_times: Sequence[float], works: Sequence[float], rate: float
+) -> Tuple[List[float], List[float]]:
+    """Run one egalitarian processor-sharing queue until it drains.
+
+    ``arrival_times`` (non-decreasing, from time 0) and ``works`` give
+    every job; ``rate`` is the VM's work rate.  Returns ``(arrived,
+    departed)``: each job's arrival and departure time, in completion
+    order — exactly what :class:`VirtualMachine` would record.
+    """
+    check_positive(rate, "rate")
+    rate = float(rate)
+    arrived: List[float] = []
+    departed: List[float] = []
+    remaining: List[float] = []  # resident jobs' work, in arrival order
+    born: List[float] = []  # resident jobs' arrival times
+    last = 0.0  # time of the last work drain
+    finish = 0.0  # time of the pending completion (while jobs reside)
+    pick = 0  # index of the job that completion removes
+    by_arrival = False  # whether the latest arrival scheduled it
+    # A last "arrival" at +inf lets every resident finish; it is never
+    # admitted.
+    for now, work in zip(chain(arrival_times, (_INF,)), chain(works, (0.0,))):
+        while remaining and (finish < now or (finish == now and by_arrival)):
+            n = len(remaining)
+            if n > 1:  # a lone job's drained work is never read again
+                per_job = (finish - last) * rate / n
+                # Equals max(0.0, r - per_job) bit for bit, with no call.
+                remaining = [r - per_job if r > per_job else 0.0
+                             for r in remaining]
+            last = finish
+            arrived.append(born.pop(pick))
+            departed.append(finish)
+            del remaining[pick]
+            if remaining:
+                least = min(remaining)
+                pick = remaining.index(least)
+                finish = finish + least * (n - 1) / rate
+            by_arrival = False
+        if now == _INF:
+            break
+        n = len(remaining)
+        if n:
+            per_job = (now - last) * rate / n
+            remaining = [r - per_job if r > per_job else 0.0
+                         for r in remaining]
+        last = now
+        remaining.append(work)
+        born.append(now)
+        least = min(remaining)
+        pick = remaining.index(least)
+        finish = now + least * (n + 1) / rate
+        by_arrival = True
+    return arrived, departed
 
 
 class ProcessorSharingServer:

@@ -66,11 +66,16 @@ def simulate_mm1(
         model) or "fcfs" for the classic single queue.
     warmup_fraction:
         Fraction of the horizon discarded as warmup.
+
+    A PS run needs no event engine: the queue is one VM, so it runs in
+    :func:`~repro.des.server.processor_sharing_departures`, the same
+    heap-free loop :func:`~repro.des.cluster.simulate_plan` runs each VM
+    in, on the same realization an engine-driven run would draw.
     """
     from repro.des.engine import Engine
     from repro.des.measurements import SojournStats
-    from repro.des.processes import PoissonArrivals
-    from repro.des.server import FCFSQueueServer, VirtualMachine
+    from repro.des.processes import PoissonArrivals, draw_poisson_arrivals
+    from repro.des.server import FCFSQueueServer, processor_sharing_departures
 
     check_positive(service_rate, "service_rate")
     check_positive(arrival_rate, "arrival_rate")
@@ -79,18 +84,20 @@ def simulate_mm1(
         raise ValueError(
             f"unstable queue: arrival_rate {arrival_rate} >= service_rate {service_rate}"
         )
-    engine = Engine()
     stats = SojournStats(warmup_time=warmup_fraction * horizon)
     if discipline == "fcfs":
+        engine = Engine()
         server = FCFSQueueServer(engine, rate=service_rate, stats=stats)
-        sink = server.arrive
+        PoissonArrivals(engine, rate=arrival_rate, sink=server.arrive,
+                        seed=seed, stop_time=horizon)
+        engine.run()
     elif discipline == "ps":
-        vm = VirtualMachine(engine, rate=service_rate, stats=stats)
-        sink = vm.arrive
+        times, works = draw_poisson_arrivals(arrival_rate, horizon, seed)
+        for arrived, departed in zip(*processor_sharing_departures(
+                times.tolist(), works.tolist(), service_rate)):
+            stats.record(arrived, departed)
     else:
         raise ValueError(f"unknown discipline {discipline!r}")
-    PoissonArrivals(engine, rate=arrival_rate, sink=sink, seed=seed, stop_time=horizon)
-    engine.run()
     return stats
 
 

@@ -10,6 +10,12 @@ mapping the reduced solution back to the original variable space:
    arithmetic over the bounds) left-hand side cannot exceed its rhs is
    dropped.
 
+A reduction left with no rows is a box and is solved in closed form
+(:func:`solve_with_presolve`): each variable goes to the bound its cost
+sign favours.  A solver would apply its own cost tolerance there — HiGHS
+treats ``|c_j| < 1e-7`` as zero and can return a different objective
+than it does on the unreduced problem.
+
 These matter most for the per-server formulations, where failed/zeroed
 servers and minimum-share pins create many fixed variables.  The own
 simplex gains the most; HiGHS has its own presolve.
@@ -156,6 +162,23 @@ def _reduce(lp: LinearProgram, tol: float) -> PresolveResult:
     )
 
 
+def _solve_box(
+    lp: LinearProgram,
+    box: LinearProgram,
+    restore: Callable[[np.ndarray], np.ndarray],
+) -> Solution:
+    """Minimize a row-free reduction ``box`` exactly, by cost signs."""
+    c = box.c
+    idle = np.clip(0.0, box.lower, box.upper)  # any point will do at c == 0
+    x_box = np.where(c > 0, box.lower, np.where(c < 0, box.upper, idle))
+    if not np.all(np.isfinite(x_box)):
+        return Solution(status=SolveStatus.UNBOUNDED,
+                        message="row-free reduction is unbounded")
+    x = restore(x_box)
+    return Solution(status=SolveStatus.OPTIMAL, x=x,
+                    objective=float(lp.c @ x), message="row-free reduction")
+
+
 def solve_with_presolve(
     lp: LinearProgram,
     method: str = "highs",
@@ -187,7 +210,10 @@ def solve_with_presolve(
                             message="fixed point violates constraints")
         return Solution(status=SolveStatus.OPTIMAL, x=x,
                         objective=float(lp.c @ x))
-    inner = solve_lp(result.reduced, method=method, state=state,
+    reduced = result.reduced
+    if reduced.a_ub is None and reduced.a_eq is None:
+        return _solve_box(lp, reduced, result.restore)
+    inner = solve_lp(reduced, method=method, state=state,
                      collector=collector)
     if not inner.ok:
         return inner

@@ -46,6 +46,7 @@ TINY_OVERRIDES = {
     "fleet_100x": {"slots": 1, "repeats": 1, "warmup": 0},
     "warm_vs_cold": {"slots": 2, "repeats": 1, "warmup": 0,
                      "servers_per_dc": 2},
+    "des_cluster": {"slots": 1, "repeats": 1},
     "des_million": {"requests": 2_000, "repeats": 1},
 }
 
@@ -262,7 +263,8 @@ class TestScenarioDeterminism:
         assert name in available_scenarios()
 
     @pytest.mark.parametrize("name", ["paper_scale", "streaming_ingest",
-                                      "warm_vs_cold", "des_million"])
+                                      "warm_vs_cold", "des_cluster",
+                                      "des_million"])
     def test_same_seed_identical_nontiming_fields(self, name):
         first = run_scenario(name, mode="smoke",
                              overrides=TINY_OVERRIDES[name])
@@ -307,6 +309,16 @@ class TestScenarioDeterminism:
         assert det["relative_error"] < 0.5
         assert "engine_speedup" in record["timing"]["ratios"]
         assert set(record["timing"]["per_phase_s"]) == {"horizon", "drain"}
+
+    def test_des_cluster_simulates_every_job(self):
+        record = run_scenario("des_cluster", mode="smoke",
+                              overrides=TINY_OVERRIDES["des_cluster"])
+        assert record["config"]["slots"] == [0]
+        det = record["determinism"]
+        assert det["completed"] == det["generated"] > 0
+        assert 0.5 < det["realized_over_planned"] < 1.2
+        assert set(record["timing"]["per_phase_s"]) == {"simulate"}
+        assert record["timing"]["throughput"]["arrivals_per_s"] > 0
 
     def test_fleet_scenario_scales_servers(self):
         record = run_scenario("fleet_10x", mode="smoke",

@@ -56,7 +56,8 @@ class TestListAndRun:
         assert _bench("--list") == 0
         out = capsys.readouterr().out
         for name in ("paper_scale", "streaming_ingest", "fleet_10x",
-                     "fleet_100x", "warm_vs_cold", "des_million"):
+                     "fleet_100x", "warm_vs_cold", "des_cluster",
+                     "des_million"):
             assert name in out
 
     def test_smoke_run_writes_valid_record(self, tmp_path):

@@ -13,10 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.analysis.certify import (
-    CertifyThresholds,
-    certify_solution,
-)
+from repro.analysis.certify import certify_solution
 from repro.analysis.report import Finding, Rule, get_rule, register, rules
 from repro.core.config import OptimizerConfig
 from repro.core.formulation import SlotInputs, fixed_level_lp

@@ -71,6 +71,35 @@ class TestClusterSimulation:
         b = simulate_plan(plan, prices, slot_duration=40.0, seed=2)
         assert a.generated != b.generated
 
+    def test_warmup_trims_only_the_sojourn_means(self, planned):
+        _, plan, arrivals, prices = planned
+        full = simulate_plan(plan, prices, slot_duration=60.0, seed=12)
+        trimmed = simulate_plan(plan, prices, slot_duration=60.0, seed=12,
+                                warmup_fraction=0.2)
+        # Every generated job completes and earns revenue; the costs
+        # count the same jobs.
+        assert trimmed.completed == trimmed.generated == full.generated
+        assert trimmed.revenue_per_job == full.revenue_per_job
+        assert trimmed.energy_cost == full.energy_cost
+        assert trimmed.transfer_cost == full.transfer_cost
+        # Only the means move.  Both constant TUFs pay the same at either
+        # mean, so the mean-delay revenue is unchanged too.
+        assert trimmed.mean_sojourn.keys() == full.mean_sojourn.keys()
+        assert trimmed.mean_sojourn != full.mean_sojourn
+        assert trimmed.revenue_mean_delay == full.revenue_mean_delay
+
+    def test_warmup_past_every_arrival_keeps_all_job_mean(self, planned):
+        _, plan, arrivals, prices = planned
+        full = simulate_plan(plan, prices, slot_duration=1.0, seed=3)
+        late = simulate_plan(plan, prices, slot_duration=1.0, seed=3,
+                             warmup_fraction=0.999)
+        # No job arrives in the last 0.1% of the slot, so every VM falls
+        # back to the mean over all of its jobs.
+        assert late.completed == full.completed == full.generated
+        assert late.mean_sojourn == full.mean_sojourn
+        assert late.revenue_mean_delay == full.revenue_mean_delay
+        assert late.revenue_per_job == full.revenue_per_job
+
     def test_validation_errors(self, planned):
         _, plan, arrivals, prices = planned
         with pytest.raises(ValueError):

@@ -75,6 +75,33 @@ class TestPresolveReductions:
         )
         assert solve_with_presolve(lp).status is SolveStatus.INFEASIBLE
 
+    def test_row_free_reduction_keeps_sub_tolerance_cost(self):
+        # The row x0 <= 1 is redundant once x0 is pinned at 0, leaving a
+        # row-free box.  A cost below HiGHS's 1e-7 cost tolerance must
+        # still pull x1 to its upper bound, as the direct solve does.
+        lp = LinearProgram(
+            c=[0.0, -5.96e-8, 0.0],
+            a_ub=[[1.0, 0.0, 0.0]], b_ub=[1.0],
+            lower=[0.0, 0.0, 0.0], upper=[0.0, 2.0, 2.0],
+        )
+        assert presolve(lp).reduced.a_ub is None
+        direct = solve_lp(lp, "highs")
+        via = solve_with_presolve(lp, "highs")
+        assert via.ok
+        assert via.x.tolist() == [0.0, 2.0, 0.0]
+        assert via.objective == -1.192e-07
+        assert via.objective == pytest.approx(direct.objective, abs=1e-12)
+
+    def test_row_free_reduction_unbounded(self):
+        lp = LinearProgram(
+            c=[1.0, -1.0],
+            a_ub=[[1.0, 0.0]], b_ub=[1.0],
+            lower=[0.0, 0.0], upper=[0.0, np.inf],
+        )
+        assert solve_lp(lp, "highs").status is SolveStatus.UNBOUNDED
+        assert solve_with_presolve(lp, "highs").status is \
+            SolveStatus.UNBOUNDED
+
 
 finite = st.floats(-3.0, 3.0, allow_nan=False)
 
